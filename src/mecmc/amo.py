@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+from functools import cached_property
+
+import numpy as np
 
 from .graphs import (
     CapExceededError,
@@ -187,10 +189,6 @@ def _amo_count(adj):
     return total
 
 
-def _adjacency_dict(g):
-    return {v: set(g.adj[v]) for v in range(g.n)}
-
-
 def count_amos(g):
     """Number of AMOs of a chordal graph (product over connected components)."""
     require_chordal(g)
@@ -201,8 +199,8 @@ def count_amos(g):
     return total
 
 
-def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
-    """All AMOs of a connected chordal graph, sorted by canonical key."""
+def _amo_keys(g, cap):
+    """Canonical arc tuples of every AMO of a connected chordal graph, sorted."""
     require_chordal(g)
     if not g.is_connected():
         raise ValueError("enumerate_amos expects a connected graph")
@@ -210,9 +208,13 @@ def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
         total = count_amos(g)
         if total > cap:
             raise CapExceededError(f"|AMO| = {total} exceeds cap {cap}")
-    out = [Amo(g, arcs) for arcs in _amo_arcsets(_adjacency_dict(g))]
-    out.sort(key=lambda a: a.key())
-    return out
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    return sorted(tuple(sorted(arcs)) for arcs in _amo_arcsets(adj))
+
+
+def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
+    """All AMOs of a connected chordal graph, sorted by canonical key."""
+    return [Amo(g, key) for key in _amo_keys(g, cap)]
 
 
 def orient_from_source_sequence(g, seq):
@@ -276,23 +278,36 @@ def non_follower_cliques(a, cliques):
 class OrientationSpace:
     """The flip graph H_G on all AMOs of a connected chordal graph.
 
-    ``adjacency[i]`` lists the states reachable from state i by one legal
-    flip; ``nonfollower_counts[i]`` is M(v) for the degree formula
-    deg(v) = |G| - C(G) + M(v) - 1.
+    State i, in canonical order, is ``keys[i]`` (its sorted arc tuple) and
+    ``parents[i]`` (one Python-int bitmask per vertex, bit u of entry v set
+    for u->v; no limit on the vertex count).  ``flip_table[i, e]``, an
+    N x |E| int64 array over the sorted edges, is the state reached by
+    proposing edge e: the flip when e is covered, i itself otherwise.
+    ``adjacency[i]`` lists the states one legal flip away; ``nonfollower_counts``
+    gives M(v) in deg(v) = |G| - C(G) + M(v) - 1.  ``index`` maps keys to
+    states; ``states``, the ``Amo`` objects, are built only on first access.
     """
 
-    def __init__(self, graph, states, adjacency, cliques, nonfollower_sets):
+    def __init__(self, graph, keys, parents, flip_rows, cliques, nonfollower_sets):
         self.graph = graph
-        self.states = states
-        self.adjacency = adjacency
+        self.keys = keys
+        self.parents = parents
+        self.flip_table = np.array(flip_rows, dtype=np.int64)
+        self.adjacency = [
+            sorted(j for j in row if j != i) for i, row in enumerate(flip_rows)
+        ]
         self.cliques = cliques
         self.nonfollower_sets = nonfollower_sets
         self.nonfollower_counts = [len(s) for s in nonfollower_sets]
-        self.index = {a.key(): i for i, a in enumerate(states)}
+        self.index = {key: i for i, key in enumerate(keys)}
+
+    @cached_property
+    def states(self):
+        return [Amo(self.graph, key) for key in self.keys]
 
     @property
     def size(self):
-        return len(self.states)
+        return len(self.keys)
 
     def degree(self, i):
         return len(self.adjacency[i])
@@ -302,21 +317,39 @@ class OrientationSpace:
         payload = {
             "n": self.graph.n,
             "edges": sorted(map(list, self.graph.edges)),
-            "states": [[list(arc) for arc in a.key()] for a in self.states],
+            "states": [[list(arc) for arc in key] for key in self.keys],
             "adjacency": [list(nbrs) for nbrs in self.adjacency],
         }
         return json.dumps(payload, sort_keys=True)
 
 
 def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
-    states = enumerate_amos(g, cap=cap)
-    index = {a.key(): i for i, a in enumerate(states)}
-    adjacency = []
-    for a in states:
-        nbrs = []
-        for edge in flip_candidates(a):
-            nbrs.append(index[a.flip(edge).key()])
-        adjacency.append(sorted(nbrs))
+    keys = _amo_keys(g, cap)
+    parents = []
+    for key in keys:
+        par = [0] * g.n
+        for u, v in key:
+            par[v] |= 1 << u
+        parents.append(tuple(par))
+    lookup = {par: i for i, par in enumerate(parents)}
+    edges = sorted(g.edges)
+    flip_rows = []
+    for i, par in enumerate(parents):
+        row = []
+        for u, v in edges:
+            a, b = (u, v) if par[v] >> u & 1 else (v, u)
+            # a->b is covered, so reversible, when parents(a) = parents(b) - {a}
+            if par[a] == par[b] & ~(1 << a):
+                flipped = list(par)
+                flipped[a], flipped[b] = par[a] | 1 << b, par[a]
+                row.append(lookup[tuple(flipped)])
+            else:
+                row.append(i)
+        flip_rows.append(row)
     cliques = maximal_cliques(g)
-    nf = [non_follower_cliques(a, cliques) for a in states]
-    return OrientationSpace(g, states, adjacency, cliques, nf)
+    members = [(k, t, sum(1 << w for w in t)) for k, t in enumerate(cliques)]
+    nonfollowers = [
+        frozenset(k for k, t, mask in members if all(par[w] & ~mask == 0 for w in t))
+        for par in parents
+    ]
+    return OrientationSpace(g, keys, parents, flip_rows, cliques, nonfollowers)

@@ -4,7 +4,7 @@ One binary with subcommands; every output embeds the RunConfig (seed
 included) that produced it, and identical configs produce byte-identical
 files.  Exact quantities (counts, rationals) are serialized as strings,
 floats as plain JSON numbers.  Exit codes: 0 success, 2 invalid input,
-3 state cap exceeded (override with MECMC_STATE_CAP).
+3 a size cap exceeded (the hint names MECMC_STATE_CAP where it applies).
 """
 
 from __future__ import annotations
@@ -97,15 +97,24 @@ def _read_input(path):
         raise ValueError(f"cannot read {path}: {e}")
 
 
-def _arc_string(a):
-    return ";".join(f"{u}>{v}" for u, v in a.key())
+def _arc_string(key):
+    return ";".join(f"{u}>{v}" for u, v in key)
 
 
-def cmd_sample_amo(args):
-    g = parse_undirected(_read_input(args.input))
+def _orientation_space(path):
+    """Flip graph of the connected chordal graph in ``path``, MECMC_STATE_CAP capped."""
+    g = parse_undirected(_read_input(path))
     require_chordal(g)
     if not g.is_connected():
         raise ValueError("input graph must be connected")
+    try:
+        return amo_mod.build_orientation_space(g, cap=state_cap())
+    except CapExceededError as e:
+        raise CapExceededError(f"{e}\nhint: raise MECMC_STATE_CAP") from None
+
+
+def cmd_sample_amo(args):
+    space = _orientation_space(args.input)
     config = RunConfig(
         subcommand="sample-amo",
         seed=args.seed,
@@ -115,15 +124,10 @@ def cmd_sample_amo(args):
         format=args.format,
         out=args.out,
     )
-    space = amo_mod.build_orientation_space(g, cap=state_cap())
     rng = np.random.default_rng(args.seed)
     final = flipchain.sample_many(space, args.steps, args.samples, rng)
     counts = np.bincount(final, minlength=space.size)
-    hist = {
-        _arc_string(space.states[i]): int(c)
-        for i, c in enumerate(counts)
-        if c > 0
-    }
+    hist = {_arc_string(space.keys[i]): int(c) for i, c in enumerate(counts) if c > 0}
     if args.format == "csv":
         rows = [f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
         rows.append("orientation,count")
@@ -141,8 +145,8 @@ def cmd_sample_amo(args):
             },
             "histogram": hist,
             "orientations": {
-                _arc_string(space.states[i]): format_graph(
-                    g.n, (), space.states[i].key()
+                _arc_string(space.keys[i]): format_graph(
+                    space.graph.n, (), space.keys[i]
                 )
                 for i in sorted(set(final.tolist()))
             },
@@ -152,14 +156,11 @@ def cmd_sample_amo(args):
 
 
 def cmd_diagnose(args):
-    g = parse_undirected(_read_input(args.input))
-    require_chordal(g)
-    if not g.is_connected():
-        raise ValueError("input graph must be connected")
+    space = _orientation_space(args.input)
+    g = space.graph
     config = RunConfig(
         subcommand="diagnose", seed=args.seed, input=args.input, out=args.out
     )
-    space = amo_mod.build_orientation_space(g, cap=state_cap())
     tm = flipchain.transition_matrix(space)
     gap = flipchain.spectral_gap(tm)
     ct = clique_tree(g)
@@ -222,34 +223,23 @@ def cmd_ratio(args):
         format=args.format,
         out=args.out,
     )
-    rows = posets.ratio_table(args.nmax)
+    rows = [
+        {
+            "n": r.n,
+            "essential_dags": str(r.essential_dags),
+            "dags": str(r.dags),
+            "ratio": posets.decimal_string(r.ratio, args.precision),
+            "adjusted_ratio": posets.decimal_string(r.adjusted, args.precision),
+        }
+        for r in posets.ratio_table(args.nmax)
+    ]
     if args.format == "csv":
         out = [f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
         out.append("n,essential_dags,dags,ratio,adjusted_ratio")
-        for r in rows:
-            out.append(
-                f"{r.n},{r.essential_dags},{r.dags},"
-                f"{posets.decimal_string(r.ratio, args.precision)},"
-                f"{posets.decimal_string(r.adjusted, args.precision)}"
-            )
+        out.extend(",".join(map(str, row.values())) for row in rows)
         _emit("\n".join(out) + "\n", args.out)
     else:
-        payload = {
-            "config": config.to_dict(),
-            "rows": [
-                {
-                    "n": r.n,
-                    "essential_dags": str(r.essential_dags),
-                    "dags": str(r.dags),
-                    "ratio": posets.decimal_string(r.ratio, args.precision),
-                    "adjusted_ratio": posets.decimal_string(
-                        r.adjusted, args.precision
-                    ),
-                }
-                for r in rows
-            ],
-        }
-        _emit(_dump_json(payload), args.out)
+        _emit(_dump_json({"config": config.to_dict(), "rows": rows}), args.out)
     return 0
 
 
@@ -322,6 +312,17 @@ def cmd_hjy(args):
     return 0
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mecmc",
@@ -335,9 +336,9 @@ def build_parser():
         "sample-amo", help="run the edge-flip chain on a chordal graph"
     )
     sp.add_argument("--input", required=True, help="undirected graph file")
-    sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--steps", type=_at_least(0), default=1000)
+    sp.add_argument("--samples", type=_at_least(1), default=1000)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_sample_amo)
@@ -346,7 +347,7 @@ def build_parser():
         "diagnose", help="exact spectrum, decomposition bound, bottlenecks"
     )
     sp.add_argument("--input", required=True, help="undirected graph file")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_diagnose)
 
@@ -354,7 +355,7 @@ def build_parser():
         "ratio", help="DAGs-per-class count table from the poset recursions"
     )
     sp.add_argument("--nmax", type=int, default=200)
-    sp.add_argument("--precision", type=int, default=13)
+    sp.add_argument("--precision", type=_at_least(0), default=13)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_ratio)
@@ -372,8 +373,8 @@ def build_parser():
     sp.add_argument(
         "--nmax", type=int, default=3, help="number of vertices"
     )
-    sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--steps", type=_at_least(0), default=100)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hjy)
     return p
@@ -384,11 +385,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except CapExceededError as e:
-        print(
-            f"error: {e}\nhint: raise MECMC_STATE_CAP or use sample-amo "
-            "instead of exhaustive diagnostics",
-            file=sys.stderr,
-        )
+        print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

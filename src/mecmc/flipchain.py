@@ -58,13 +58,13 @@ def transition_matrix(space, cap=DENSE_SPECTRUM_CAP):
     m = space.graph.num_edges
     if m == 0:
         # edgeless graph: one empty orientation, the chain sits still
-        return TransitionMatrix(np.eye(N), labels=[a.key() for a in space.states])
+        return TransitionMatrix(np.eye(N), labels=list(space.keys))
     P = np.zeros((N, N))
     for i, nbrs in enumerate(space.adjacency):
         for j in nbrs:
             P[i, j] = 1.0 / m
         P[i, i] = 1.0 - len(nbrs) / m
-    return TransitionMatrix(P, labels=[a.key() for a in space.states])
+    return TransitionMatrix(P, labels=list(space.keys))
 
 
 def spectral_gap(tm):
@@ -100,29 +100,18 @@ def sample(g, steps, rng, start=None):
 
 
 def move_table(space):
-    """result[i, e] = state index after proposing edge e from state i."""
-    m = space.graph.num_edges
-    edges = sorted(space.graph.edges)
-    table = np.empty((space.size, m), dtype=np.int64)
-    for i, a in enumerate(space.states):
-        for e, (u, v) in enumerate(edges):
-            uu, vv = (u, v) if (u, v) in a.arcs else (v, u)
-            if a.parents[uu] == a.parents[vv] - {uu}:
-                table[i, e] = space.index[a.flip((uu, vv)).key()]
-            else:
-                table[i, e] = i
-    return table
+    """The stored flip table: state index after proposing edge e from state i."""
+    return space.flip_table
 
 
 def sample_many(space, steps, count, rng, start_index=None):
     """Vectorized replicas of the chain; returns final state indices."""
     if start_index is None:
         start_index = space.index[amo_mod.peo_orientation(space.graph).key()]
-    table = move_table(space)
     x = np.full(count, start_index, dtype=np.int64)
     m = space.graph.num_edges
     for _ in range(steps):
-        x = table[x, rng.integers(0, m, size=count)]
+        x = space.flip_table[x, rng.integers(0, m, size=count)]
     return x
 
 
@@ -251,7 +240,7 @@ class DecompositionStats:
     ``clique_weights[i]`` is |t_i|! |D_i|, the size of the piece H_{t_i} x D_i;
     ``z`` is their sum; ``o_g`` = z / min over tree edges of |t_j & t_k|! |D_{j,k}|.
     ``theta`` defaults to the clique-tree degree; the Madras-Randall framework
-    itself would use the maximum overlap count (see ``max_overlap_theta``).
+    itself would use the maximum overlap, max ``space.nonfollower_counts``.
     """
 
     o_g: Fraction
@@ -292,11 +281,6 @@ def decomposition_stats(ct, theta=None):
         clique_weights=weights,
         min_separator_weight=min_sep,
     )
-
-
-def max_overlap_theta(space):
-    """The Madras-Randall Theta: most pieces any single orientation lies in."""
-    return max(space.nonfollower_counts)
 
 
 @dataclass

@@ -194,10 +194,6 @@ class Pdag:
         self.children = tuple(frozenset(s) for s in chi)
         self.undirected_neighbors = tuple(frozenset(s) for s in und)
 
-    @classmethod
-    def from_dag(cls, d):
-        return cls(d.n, d.arcs)
-
     def adjacent(self, u, v):
         return (
             edge_key(u, v) in self.lines or (u, v) in self.arcs or (v, u) in self.arcs

@@ -259,10 +259,10 @@ def exact_kernel(states):
     """
     n = states[0].n
     index = {s.key(): i for i, s in enumerate(states)}
-    pair_w = Fraction(1, 6 * n * (n - 1))
-    line_w = Fraction(1, 6 * (n * (n - 1) // 2))
-    # at n = 2 the triple domain is empty and legal_moves never yields an
-    # immorality move, so that kind's 1/6 stays on the diagonal
+    # an empty tuple domain (pairs at n = 1, triples at n = 2) means
+    # legal_moves never yields that kind, so its 1/6 stays on the diagonal
+    pair_w = Fraction(1, 6 * n * (n - 1)) if n > 1 else None
+    line_w = Fraction(1, 6 * (n * (n - 1) // 2)) if n > 1 else None
     tri_dom = n * (n - 1) * (n - 2) // 2
     tri_w = Fraction(1, 6 * tri_dom) if tri_dom else None
     K = [[Fraction(0) for _ in states] for _ in states]
@@ -288,20 +288,10 @@ def hamming_distance(p1, p2):
     """Number of vertex pairs whose edge mark differs."""
     if p1.n != p2.n:
         raise ValueError("graphs must share a vertex count")
-
-    def mark(p, u, v):
-        if edge_key(u, v) in p.lines:
-            return "line"
-        if (u, v) in p.arcs:
-            return ">"
-        if (v, u) in p.arcs:
-            return "<"
-        return None
-
     return sum(
         1
         for u, v in itertools.combinations(range(p1.n), 2)
-        if mark(p1, u, v) != mark(p2, u, v)
+        if _mark(p1, u, v) != _mark(p2, u, v)
     )
 
 

@@ -1,9 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mecmc import flipchain
 from mecmc.cli import main
 from mecmc.graphs import (
     complete_graph,
@@ -11,9 +19,11 @@ from mecmc.graphs import (
     format_graph,
     format_undirected,
     glued_clique_chain,
+    path_graph,
     star_graph,
 )
 from mecmc.graphs import Dag
+from strategies import small_dags, small_graphs
 
 
 @pytest.fixture
@@ -143,6 +153,8 @@ def test_state_cap_exits_3(tmp_path, capsys, monkeypatch):
     rc = main(["diagnose", "--input", str(p)])
     assert rc == 3
     assert "MECMC_STATE_CAP" in capsys.readouterr().err
+    assert main(["sample-amo", "--input", str(p)]) == 3
+    assert "hint: raise MECMC_STATE_CAP\n" in capsys.readouterr().err
     monkeypatch.setenv("MECMC_STATE_CAP", "not-a-number")
     assert main(["diagnose", "--input", str(p)]) == 2
 
@@ -271,6 +283,14 @@ def test_hjy_steps_zero_and_small_n(tmp_path):
     assert records[-1]["uniformity"]["n_states"] == 2
     assert records[-1]["uniformity"]["uniform_stationary"] is True
     assert main(["hjy", "--nmax", "0"]) == 2
+    out1 = tmp_path / "n1.jsonl"
+    assert main(["hjy", "--nmax", "1", "--steps", "3", "--out", str(out1)]) == 0
+    last = json.loads(out1.read_text().splitlines()[-1])
+    assert last["uniformity"] == {
+        "n_states": 1,
+        "symmetric": True,
+        "uniform_stationary": True,
+    }
 
 
 def test_reruns_are_byte_identical(k3_file, tmp_path):
@@ -304,3 +324,102 @@ def test_config_embeds_seed_not_out_path(k3_file, tmp_path):
     )
     assert "out" not in payload["config"]
     assert payload["config"]["rng"] == "numpy-pcg64"
+
+
+def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatch):
+    # mec lists members by brute force under a fixed 2^k cap
+    p = tmp_path / "k55.txt"
+    p.write_text(format_dag(Dag(10, [(u, v) for u in range(5) for v in range(5, 10)])))
+    assert main(["mec", "--input", str(p)]) == 3
+    assert "MECMC_STATE_CAP" not in capsys.readouterr().err
+    # the dense spectrum cap of diagnose is fixed as well
+    capped = functools.partial(flipchain.transition_matrix, cap=5)
+    monkeypatch.setattr(flipchain, "transition_matrix", capped)
+    p = tmp_path / "k3.txt"
+    p.write_text(format_undirected(complete_graph(3)))
+    assert main(["diagnose", "--input", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "dense spectrum cap 5" in err and "MECMC_STATE_CAP" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sample-amo", "--input", "g.txt", "--steps", "-5"], "--steps"),
+        (["sample-amo", "--input", "g.txt", "--samples", "-1"], "--samples"),
+        (["sample-amo", "--input", "g.txt", "--samples", "0"], "--samples"),
+        (["hjy", "--steps", "-1"], "--steps"),
+        (["ratio", "--precision", "-3"], "--precision"),
+        (["diagnose", "--input", "g.txt", "--seed", "-2"], "--seed"),
+        (["hjy", "--steps", "ten"], "--steps"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_sample_amo_path_beyond_64_vertices(tmp_path):
+    p = tmp_path / "path70.txt"
+    p.write_text(format_undirected(path_graph(70)))
+    payload = run_to_json(
+        ["sample-amo", "--input", str(p), "--steps", "30", "--samples", "50"],
+        tmp_path,
+    )
+    assert payload["summary"]["n_states"] == 70
+    assert sum(payload["histogram"].values()) == 50
+    for key in payload["histogram"]:
+        assert key.count(">") == 69
+
+
+# small values only: a fuzzed --samples or --nmax in the millions would
+# allocate or compute for minutes, which is a resource limit, not a bug
+NUMBERS = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["", "x", "1.5", "-0", "1e2", "0x3", " 2", "--"]),
+)
+GRAPH_TEXT = st.one_of(
+    small_graphs(max_n=5).map(format_undirected),
+    small_dags(max_n=5).map(format_dag),
+    st.text(alphabet="n0123456789 -<>\n#x", max_size=40),
+)
+FLAGS = {
+    "sample-amo": ("--steps", "--samples", "--seed", "--format"),
+    "diagnose": ("--seed",),
+    "ratio": ("--nmax", "--precision", "--format"),
+    "mec": (),
+    "hjy": ("--nmax", "--steps", "--seed"),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    sub = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [sub]
+    flags = draw(st.lists(st.sampled_from(FLAGS[sub]), max_size=3)) if FLAGS[sub] else []
+    for flag in flags:
+        value = draw(st.sampled_from(["csv", "json", "xml"]) if flag == "--format" else NUMBERS)
+        argv += [flag, value]
+    if sub in ("sample-amo", "diagnose", "mec") and draw(st.booleans()):
+        argv += ["--input", "graph.txt"]
+    return argv, draw(GRAPH_TEXT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_calls())
+def test_cli_fuzz_exits_cleanly(call):
+    argv, text = call
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "graph.txt"), "w") as fh:
+            fh.write(text)
+        argv = [os.path.join(tmp, a) if a == "graph.txt" else a for a in argv]
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", os.path.join(tmp, "out")])
+            except SystemExit as e:
+                code = e.code
+    assert code in (0, 2, 3), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

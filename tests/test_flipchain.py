@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, cos, pi
 
@@ -123,6 +124,22 @@ def test_move_table_consistent_with_step():
             assert table[j, e] == i
         moved = {int(j) for j in table[i] if j != i}
         assert moved == set(space.adjacency[i])
+
+
+# sha256 of the int64 final states of sample_many(space, 40, 500,
+# default_rng(20171)), recorded with the per-Amo move table; any change to
+# the state order, the flip table or the RNG draws changes them
+PINNED_WALKS = {
+    "k5": "1688233d8ef8f059471d4f8c29ac39be62d1171a910c2ee920b62bc85d12ea9d",
+    "two_k4_share2": "d1354bf59a8bc57d5b5dfab8d42dd23f3460069ea9dae0455cbd4790df5e6832",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WALKS))
+def test_sample_many_trajectory_is_pinned(suite_spaces, name):
+    final = sample_many(suite_spaces[name], 40, 500, np.random.default_rng(20171))
+    digest = hashlib.sha256(np.asarray(final, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_WALKS[name]
 
 
 def test_sample_many_matches_exact_distribution():

@@ -1,0 +1,71 @@
+"""The array-backed OrientationSpace against a per-Amo reference build."""
+
+from hypothesis import given, settings
+
+from conftest import SUITE
+from mecmc.amo import (
+    build_orientation_space,
+    enumerate_amos,
+    flip_candidates,
+    non_follower_cliques,
+)
+from mecmc.graphs import maximal_cliques, path_graph
+from strategies import chordal_graphs
+
+
+def oracle_space(g):
+    """Keys, flip table, adjacency and non-follower sets from Amo objects."""
+    states = enumerate_amos(g)
+    index = {a.key(): i for i, a in enumerate(states)}
+    table, adjacency = [], []
+    for i, a in enumerate(states):
+        moves = {e: index[a.flip(e).key()] for e in flip_candidates(a)}
+        table.append([moves.get(e, i) for e in sorted(g.edges)])
+        adjacency.append(sorted(moves.values()))
+    cliques = maximal_cliques(g)
+    nonfollowers = [non_follower_cliques(a, cliques) for a in states]
+    masks = [
+        tuple(sum(1 << u for u in a.parents[v]) for v in range(g.n))
+        for a in states
+    ]
+    return [a.key() for a in states], masks, table, adjacency, nonfollowers
+
+
+def assert_matches_oracle(g, space):
+    keys, masks, table, adjacency, nonfollowers = oracle_space(g)
+    assert list(space.keys) == keys
+    assert list(space.parents) == masks
+    assert space.flip_table.shape == (len(keys), g.num_edges)
+    assert space.flip_table.tolist() == table
+    assert space.adjacency == adjacency
+    assert space.nonfollower_sets == nonfollowers
+
+
+def test_suite_spaces_match_oracle(suite_spaces):
+    for name, g in SUITE.items():
+        assert_matches_oracle(g, suite_spaces[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(chordal_graphs(min_n=1, max_n=6, connected=True))
+def test_random_chordal_spaces_match_oracle(g):
+    assert_matches_oracle(g, build_orientation_space(g))
+
+
+def test_states_are_built_on_first_access():
+    g = SUITE["two_k3_edge"]
+    space = build_orientation_space(g)
+    assert "states" not in vars(space)
+    assert [a.key() for a in space.states] == list(space.keys)
+    assert space.states is space.states
+
+
+def test_path_beyond_64_vertices():
+    g = path_graph(70)
+    space = build_orientation_space(g)
+    assert space.size == 70
+    # bit 69 is set where 69 is the source and parent of vertex 68
+    assert max(max(par) for par in space.parents).bit_length() == 70
+    # the source's one or two out-arcs are the only covered edges
+    assert sum(space.degree(i) for i in range(space.size)) == 2 * 69
+    assert_matches_oracle(g, space)
