@@ -4,7 +4,8 @@ One binary with subcommands; every output embeds the RunConfig (seed
 included) that produced it, and identical configs produce byte-identical
 files.  Exact quantities (counts, rationals) are serialized as strings,
 floats as plain JSON numbers.  Exit codes: 0 success, 2 invalid input,
-3 a size cap exceeded (the hint names MECMC_STATE_CAP where it applies).
+3 a size cap exceeded (the hint names MECMC_STATE_CAP where it applies) or
+memory exhausted.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 from . import amo as amo_mod
 from . import flipchain, hjy, posets
 from .essential import (
+    class_members,
     class_size,
     enumerate_essential_graphs,
     essential_graph_of_dag,
-    mec_of_dag,
 )
 from .graphs import (
     CapExceededError,
@@ -37,8 +38,15 @@ from .graphs import (
     require_chordal,
 )
 
-TMIX_DENSE_CAP = 1500
 MEC_LIST_CAP = 1000
+
+# why diagnose leaves a field null: one fixed sentence per cause
+NULL_LARGE = (
+    f"more than {flipchain.DENSE_STATES} states: exact_tmix needs the dense matrix"
+)
+NULL_UNMIXED = "the chain is not within 1/4 of uniform after 2^20 steps"
+NULL_ONE_CLIQUE = "one maximal clique: the decomposition bound needs two or more"
+NULL_NO_CUT = "no clique cut is nonempty with at most half of the states"
 
 
 @dataclass(frozen=True)
@@ -183,13 +191,13 @@ def cmd_diagnose(args):
             "boundary_edges": rep.boundary_edges,
             "tmix_lower": str(rep.tmix_lower),
         }
-    tmix = (
-        flipchain.exact_tmix(tm) if space.size <= TMIX_DENSE_CAP else None
-    )
+    dense = space.size <= flipchain.DENSE_STATES
+    tmix = flipchain.exact_tmix(tm) if dense else None
     payload = {
         "config": config.to_dict(),
         "graph": {"n": g.n, "edges": g.num_edges},
         "n_states": space.size,
+        "spectrum": "dense" if dense else "sparse",
         "gap_exact": gap,
         "gap_mr_bound": mr,
         "bound_le_gap": bound_le_gap,
@@ -204,6 +212,17 @@ def cmd_diagnose(args):
         "tmix_lower": worst["tmix_lower"] if worst else None,
         "worst_clique_cut": worst,
         "tmix_exact": tmix,
+    }
+    reasons = {
+        "gap_mr_bound": NULL_ONE_CLIQUE,
+        "bound_le_gap": NULL_ONE_CLIQUE,
+        "phi": NULL_NO_CUT,
+        "tmix_lower": NULL_NO_CUT,
+        "worst_clique_cut": NULL_NO_CUT,
+        "tmix_exact": NULL_UNMIXED if dense else NULL_LARGE,
+    }
+    payload["null_reasons"] = {
+        k: why for k, why in reasons.items() if payload[k] is None
     }
     _emit(_dump_json(payload), args.out)
     return 0
@@ -250,7 +269,7 @@ def cmd_mec(args):
     size = class_size(eg)
     members = None
     if size <= MEC_LIST_CAP:
-        members = sorted(format_dag(m) for m in mec_of_dag(d))
+        members = sorted(format_dag(m) for m in class_members(eg))
     payload = {
         "config": config.to_dict(),
         "essential_graph": format_pdag(eg),
@@ -390,6 +409,11 @@ def main(argv=None):
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        # numpy's message names the size: "Unable to allocate 7.28 TiB ..."
+        why = str(e) or "allocation failed"
+        print(f"error: out of memory: {why}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def mec_of_dag(d, cap=MEC_ENUM_CAP):
 
     Enumerates the 2^m orientations of the skeleton and keeps the acyclic
     ones with the same immoralities.  This is the reference oracle; use
-    ``class_size`` for counting.
+    ``class_size`` for counting and ``class_members`` for listing.
     """
     edges = sorted(skeleton(d).edges)
     if 2 ** len(edges) > cap:
@@ -142,23 +142,48 @@ def is_essential_graph(p):
     return all(is_strongly_protected(p, arc) for arc in p.arcs)
 
 
-def class_size(p):
-    """Number of DAGs in the class of an essential graph: the product over
-    undirected components of their AMO counts."""
+def _chain_components(p):
+    """Yield (vertices, relabeled graph) for each undirected chain component
+    of ``p`` with an edge; vertex i of the graph is ``vertices[i]``."""
     und = p.undirected_part()
-    total = 1
     for comp in und.connected_components():
         if len(comp) == 1:
             continue
-        sub_edges = [
-            (u, v) for u, v in und.edges if u in set(comp) and v in set(comp)
-        ]
+        members = set(comp)
         relabel = {v: i for i, v in enumerate(comp)}
-        sub = UndirectedGraph(
-            len(comp), ((relabel[u], relabel[v]) for u, v in sub_edges)
+        yield comp, UndirectedGraph(
+            len(comp),
+            (
+                (relabel[u], relabel[v])
+                for u, v in und.edges
+                if u in members and v in members
+            ),
         )
+
+
+def class_size(p):
+    """Number of DAGs in the class of an essential graph: the product over
+    undirected components of their AMO counts."""
+    total = 1
+    for _, sub in _chain_components(p):
         total *= amo_mod.count_amos(sub)
     return total
+
+
+def class_members(p):
+    """Yield every DAG in the class of the essential graph ``p``: its arcs
+    plus one AMO of each undirected chain component.  Yields
+    ``class_size(p)`` DAGs, so callers check that size first."""
+    comps, choices = [], []
+    for comp, sub in _chain_components(p):
+        comps.append(comp)
+        choices.append(amo_mod._amo_keys(sub, None))
+    # relabel member by member: only one member's arcs are alive at a time
+    for combo in itertools.product(*choices):
+        arcs = list(p.arcs)
+        for comp, key in zip(comps, combo):
+            arcs.extend((comp[u], comp[v]) for u, v in key)
+        yield Dag(p.n, arcs)
 
 
 def enumerate_essential_graphs(n, cap=MEC_ENUM_CAP):

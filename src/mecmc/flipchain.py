@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -21,63 +22,113 @@ from . import amo as amo_mod
 from .graphs import CapExceededError, clique_tree
 
 DENSE_SPECTRUM_CAP = 10_000
-SYMMETRY_TOL = 1e-12
+# above this many states the spectral gap comes from a sparse Lanczos solve
+# and diagnose skips exact_tmix; at or below it the dense matrix is cheap
+DENSE_STATES = 1500
 EIGEN_TOL = 1e-9
 
 
 class TransitionMatrix:
-    """Dense row-stochastic matrix with the state labels of its chain."""
+    """The lazy edge-flip chain over a flip table, with its state labels.
 
-    def __init__(self, matrix, labels=None):
-        P = np.asarray(matrix, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if np.any(P < -SYMMETRY_TOL):
-            raise ValueError("transition matrix has negative entries")
-        rows = P.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > SYMMETRY_TOL:
-            raise ValueError("rows must sum to 1 within 1e-12")
-        self.matrix = P
+    ``flip_table[i, e]`` is the state reached from i by proposing edge e, so
+    P[i, j] = 1/|E| for each edge leading to j != i and P[i, i] = 1 - deg/|E|.
+    The dense ``matrix`` is built on first access, under ``cap`` states.
+    """
+
+    def __init__(self, flip_table, labels=None, cap=DENSE_SPECTRUM_CAP):
+        self.flip_table = np.asarray(flip_table, dtype=np.int64)
         self.labels = labels
+        self.cap = cap
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
+        return self.flip_table.shape[0]
+
+    @property
+    def num_edges(self):
+        return self.flip_table.shape[1]
+
+    def _entries(self):
+        """(rows, cols, values) of P: one entry per legal flip, then the diagonal."""
+        N, m = self.dimension, self.num_edges
+        rows = np.repeat(np.arange(N), m)
+        cols = self.flip_table.ravel()
+        moves = cols != rows
+        degrees = np.count_nonzero(moves.reshape(N, m), axis=1)
+        stay = np.arange(N)
+        return (
+            np.concatenate([rows[moves], stay]),
+            np.concatenate([cols[moves], stay]),
+            np.concatenate([np.full(degrees.sum(), 1.0 / m), 1.0 - degrees / m]),
+        )
+
+    @cached_property
+    def matrix(self):
+        N = self.dimension
+        if self.cap is not None and N > self.cap:
+            raise CapExceededError(
+                f"{N} states exceed dense spectrum cap {self.cap}"
+            )
+        if self.num_edges == 0:
+            # edgeless graph: one empty orientation, the chain sits still
+            return np.eye(N)
+        rows, cols, values = self._entries()
+        P = np.zeros((N, N))
+        P[rows, cols] = values
+        return P
 
     def is_symmetric(self):
-        return bool(
-            np.max(np.abs(self.matrix - self.matrix.T)) <= SYMMETRY_TOL
-        )
+        """Whether every proposal is undone by the same edge (a flip is an
+        involution), which makes P symmetric."""
+        T = self.flip_table
+        back = T[T, np.arange(self.num_edges)]
+        return bool(np.all(back == np.arange(self.dimension)[:, None]))
 
 
 def transition_matrix(space, cap=DENSE_SPECTRUM_CAP):
-    """Exact transition matrix of the lazy edge-flip chain on ``space``."""
-    N = space.size
-    if cap is not None and N > cap:
-        raise CapExceededError(f"{N} states exceed dense spectrum cap {cap}")
-    m = space.graph.num_edges
-    if m == 0:
-        # edgeless graph: one empty orientation, the chain sits still
-        return TransitionMatrix(np.eye(N), labels=list(space.keys))
-    P = np.zeros((N, N))
-    for i, nbrs in enumerate(space.adjacency):
-        for j in nbrs:
-            P[i, j] = 1.0 / m
-        P[i, i] = 1.0 - len(nbrs) / m
-    return TransitionMatrix(P, labels=list(space.keys))
+    """Exact transition matrix of the lazy edge-flip chain on ``space``.
+
+    ``cap`` bounds the states of the dense matrix, which is built only when
+    ``.matrix`` is first read.
+    """
+    return TransitionMatrix(space.flip_table, labels=list(space.keys), cap=cap)
+
+
+def _lambda2_dense(tm):
+    return np.linalg.eigvalsh(tm.matrix)[-2]
+
+
+def _lambda2_sparse(tm):
+    """Second-largest eigenvalue by implicitly restarted Lanczos (ARPACK).
+
+    The CSR matrix comes straight from the flip table; the start vector is
+    fixed so that repeated calls give the same float.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+
+    N = tm.dimension
+    rows, cols, values = tm._entries()
+    P = csr_matrix((values, (rows, cols)), shape=(N, N))
+    v0 = np.random.default_rng(0).standard_normal(N)
+    ev = eigsh(P, k=2, which="LA", v0=v0, return_eigenvectors=False)
+    return np.sort(ev)[0]
 
 
 def spectral_gap(tm):
     """1 - lambda_2 via a symmetric eigensolver; rejects asymmetric input.
 
+    Dense ``eigvalsh`` up to ``DENSE_STATES`` states, sparse ``eigsh`` above.
     Dimension-1 chains have gap 1 by convention.
     """
     if not tm.is_symmetric():
         raise ValueError("spectral_gap expects a symmetric transition matrix")
     if tm.dimension == 1:
         return 1.0
-    ev = np.linalg.eigvalsh(tm.matrix)
-    return float(1.0 - ev[-2])
+    sparse = tm.dimension > DENSE_STATES
+    lam2 = _lambda2_sparse(tm) if sparse else _lambda2_dense(tm)
+    return float(1.0 - lam2)
 
 
 def step(a, rng):
@@ -201,27 +252,21 @@ def exact_tmix(tm, eps=0.25, max_steps=1 << 20):
     P = tm.matrix
     if dist(P) <= eps:
         return 1 if dist(np.eye(N)) > eps else 0
-    powers = [(1, P)]
+    powers = [P]  # powers[j] = P^(2^j)
     t, A = 1, P
     while dist(A) > eps:
         if 2 * t > max_steps:
             return None
         A = A @ A
         t *= 2
-        powers.append((t, A))
-    lo_t, lo_A = powers[-2]
+        powers.append(A)
+    lo_t, lo_A = t // 2, powers[-2]
     hi_t = t
-    # invariant: dist at lo_t > eps >= dist at hi_t
+    # invariant: dist at lo_t > eps >= dist at hi_t; hi_t - lo_t is a power
+    # of two, so each midpoint is one product with a stored power
     while hi_t - lo_t > 1:
         mid = (lo_t + hi_t) // 2
-        M = lo_A.copy()
-        k = mid - lo_t
-        B = P
-        while k:
-            if k & 1:
-                M = M @ B
-            B = B @ B
-            k >>= 1
+        M = lo_A @ powers[(mid - lo_t).bit_length() - 1]
         if dist(M) <= eps:
             hi_t = mid
         else:

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -185,6 +186,67 @@ def test_diagnose_single_clique(k3_file, tmp_path):
     assert payload["worst_clique_cut"] is None
 
 
+def test_diagnose_reports_spectrum_and_null_reasons(k3_file, tmp_path):
+    payload = run_to_json(["diagnose", "--input", k3_file], tmp_path)
+    assert payload["spectrum"] == "dense"
+    one_clique = "one maximal clique: the decomposition bound needs two or more"
+    no_cut = "no clique cut is nonempty with at most half of the states"
+    assert payload["null_reasons"] == {
+        "gap_mr_bound": one_clique,
+        "bound_le_gap": one_clique,
+        "phi": no_cut,
+        "tmix_lower": no_cut,
+        "worst_clique_cut": no_cut,
+    }
+    # every null field has its reason and no other field has one
+    nulls = {k for k, v in payload.items() if v is None}
+    assert nulls == set(payload["null_reasons"])
+
+    p = tmp_path / "glued.txt"
+    p.write_text(format_undirected(glued_clique_chain([4, 4], [2])))
+    payload = run_to_json(["diagnose", "--input", str(p)], tmp_path, "glued.json")
+    assert payload["spectrum"] == "dense" and payload["null_reasons"] == {}
+
+    # the single edge flips back and forth forever: period 2, never mixed
+    p = tmp_path / "edge.txt"
+    p.write_text(format_undirected(path_graph(2)))
+    payload = run_to_json(["diagnose", "--input", str(p)], tmp_path, "edge.json")
+    assert payload["tmix_exact"] is None
+    assert payload["null_reasons"]["tmix_exact"] == (
+        "the chain is not within 1/4 of uniform after 2^20 steps"
+    )
+
+
+def test_diagnose_k7_takes_the_sparse_path(tmp_path):
+    p = tmp_path / "k7.txt"
+    p.write_text(format_undirected(complete_graph(7)))
+    payload = run_to_json(["diagnose", "--input", str(p)], tmp_path)
+    assert payload["n_states"] == 5040
+    assert payload["spectrum"] == "sparse"
+    assert payload["tmix_exact"] is None
+    assert payload["null_reasons"]["tmix_exact"] == (
+        "more than 1500 states: exact_tmix needs the dense matrix"
+    )
+    # Bacher's gap of the complete graph, (2/|E|)(1 - cos(pi/n))
+    assert abs(payload["gap_exact"] - (2 / 21) * (1 - math.cos(math.pi / 7))) < 1e-12
+
+
+def test_out_of_memory_exits_3_without_traceback(k3_file, capsys, monkeypatch):
+    message = (
+        "Unable to allocate 7.28 TiB for an array with shape "
+        "(1000000000000,) and data type int64"
+    )
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(flipchain, "sample_many", exhausted)
+    rc = main(["sample-amo", "--input", k3_file, "--samples", "1000000000000"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {message}\n"
+
+
 def test_ratio_csv(tmp_path):
     out = tmp_path / "ratio.csv"
     rc = main(
@@ -327,11 +389,14 @@ def test_config_embeds_seed_not_out_path(k3_file, tmp_path):
 
 
 def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatch):
-    # mec lists members by brute force under a fixed 2^k cap
+    # mec lists members from the essential graph: a 25-edge skeleton whose
+    # class is one DAG needs no cap at all
     p = tmp_path / "k55.txt"
-    p.write_text(format_dag(Dag(10, [(u, v) for u in range(5) for v in range(5, 10)])))
-    assert main(["mec", "--input", str(p)]) == 3
-    assert "MECMC_STATE_CAP" not in capsys.readouterr().err
+    k55 = format_dag(Dag(10, [(u, v) for u in range(5) for v in range(5, 10)]))
+    p.write_text(k55)
+    payload = run_to_json(["mec", "--input", str(p)], tmp_path)
+    assert payload["class_size"] == "1" and payload["members"] == [k55]
+    assert capsys.readouterr().err == ""
     # the dense spectrum cap of diagnose is fixed as well
     capped = functools.partial(flipchain.transition_matrix, cap=5)
     monkeypatch.setattr(flipchain, "transition_matrix", capped)

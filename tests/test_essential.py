@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from mecmc.essential import (
+    class_members,
     class_size,
     classification_sweep,
     enumerate_dags,
@@ -205,3 +206,21 @@ def test_essential_graph_skeleton_preserved(d):
     kept = {edge_key(u, v) for u, v in eg.arcs} | set(eg.lines)
     assert kept == set(skeleton(d).edges)
     assert is_essential_graph(eg)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_dags(max_n=5))
+def test_class_members_equal_brute_force_class(d):
+    eg = essential_graph_of_dag(d)
+    members = list(class_members(eg))
+    assert len(members) == class_size(eg)
+    assert {m.arcs for m in members} == {m.arcs for m in mec_of_dag(d)}
+
+
+def test_class_members_of_a_large_skeleton():
+    # an out-tree has no immorality: one member per root, 2^29 orientations
+    tree = Dag(30, [((v - 1) // 2, v) for v in range(1, 30)])
+    members = list(class_members(essential_graph_of_dag(tree)))
+    assert len(members) == 30
+    assert len({m.arcs for m in members}) == 30
+    assert tree.arcs in {m.arcs for m in members}

@@ -1,0 +1,115 @@
+"""The lazy transition matrix, the dense and sparse lambda_2 solvers, and
+exact_tmix against values captured before its powers were reused."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import mecmc
+from mecmc.amo import build_orientation_space
+from mecmc.flipchain import (
+    DENSE_STATES,
+    TransitionMatrix,
+    _lambda2_dense,
+    _lambda2_sparse,
+    exact_tmix,
+    spectral_gap,
+    transition_matrix,
+)
+from mecmc.graphs import complete_graph, glued_clique_chain, path_graph
+from strategies import chordal_graphs
+
+
+def loop_matrix(space):
+    """The dense chain matrix filled entry by entry from the adjacency lists."""
+    N, m = space.size, space.graph.num_edges
+    if m == 0:
+        return np.eye(N)
+    P = np.zeros((N, N))
+    for i, nbrs in enumerate(space.adjacency):
+        for j in nbrs:
+            P[i, j] = 1.0 / m
+        P[i, i] = 1.0 - len(nbrs) / m
+    return P
+
+
+@pytest.fixture(scope="module")
+def two_k6_share4():
+    return transition_matrix(build_orientation_space(glued_clique_chain([6, 6], [4])))
+
+
+def test_lazy_matrix_equals_loop_oracle(suite_spaces):
+    spaces = dict(suite_spaces)
+    spaces["edgeless"] = build_orientation_space(path_graph(1))
+    spaces["edge"] = build_orientation_space(path_graph(2))
+    for name, space in spaces.items():
+        tm = transition_matrix(space)
+        assert "matrix" not in vars(tm), name
+        assert np.array_equal(tm.matrix, loop_matrix(space)), name
+        assert tm.matrix is tm.matrix
+
+
+def test_sparse_and_dense_agree_on_suite(suite_spaces):
+    # ARPACK needs k = 2 < N; the smallest suite space (path3) has 3 states
+    for name, space in suite_spaces.items():
+        tm = transition_matrix(space)
+        assert abs(_lambda2_sparse(tm) - _lambda2_dense(tm)) <= 1e-12, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(chordal_graphs(min_n=3, max_n=6, connected=True))
+def test_sparse_and_dense_agree_on_random_chordal(g):
+    tm = transition_matrix(build_orientation_space(g))
+    assert abs(_lambda2_sparse(tm) - _lambda2_dense(tm)) <= 1e-12
+
+
+def test_sparse_path_above_crossover(two_k6_share4):
+    tm = two_k6_share4
+    assert tm.dimension == 2784 > DENSE_STATES
+    gap = spectral_gap(tm)
+    # the sparse solve never materializes the dense matrix
+    assert "matrix" not in vars(tm)
+    assert gap == spectral_gap(tm)
+    assert _lambda2_sparse(tm) == _lambda2_sparse(tm)
+    assert abs(gap - (1.0 - _lambda2_dense(tm))) <= 1e-12
+
+
+def test_asymmetric_table_is_rejected():
+    # state 1 moves to itself under the edge that took state 0 to it
+    tm = TransitionMatrix(np.array([[1], [1]]))
+    assert not tm.is_symmetric()
+    with pytest.raises(ValueError):
+        spectral_gap(tm)
+
+
+@pytest.mark.parametrize(
+    "graph, tmix",
+    [
+        (complete_graph(5), 32),
+        (complete_graph(6), 74),
+        (glued_clique_chain([5, 5], [3]), 237),
+        (glued_clique_chain([4, 4, 4], [2, 2]), 224),
+    ],
+    ids=["K5", "K6", "two_K5_share3", "three_K4_share2"],
+)
+def test_exact_tmix_pinned(graph, tmix):
+    # values from repeated squaring in every bisection step; reusing the
+    # doubling powers multiplies the same operands, so t may not move
+    assert exact_tmix(transition_matrix(build_orientation_space(graph))) == tmix
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, mecmc, mecmc.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mecmc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
