@@ -229,8 +229,6 @@ def cmd_diagnose(args):
 
 
 def cmd_ratio(args):
-    if args.nmax < 2:
-        raise ValueError("--nmax must be at least 2")
     # the counts reach thousands of decimal digits well before n = 200;
     # lift the interpreter's int-to-str guard so they serialize in full
     if hasattr(sys, "set_int_max_str_digits"):
@@ -282,8 +280,6 @@ def cmd_mec(args):
 
 def cmd_hjy(args):
     n = args.nmax
-    if n < 1:
-        raise ValueError("--nmax (vertex count) must be at least 1")
     config = RunConfig(
         subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n, out=args.out
     )
@@ -373,7 +369,7 @@ def build_parser():
     sp = sub.add_parser(
         "ratio", help="DAGs-per-class count table from the poset recursions"
     )
-    sp.add_argument("--nmax", type=int, default=200)
+    sp.add_argument("--nmax", type=_at_least(2), default=200)
     sp.add_argument("--precision", type=_at_least(0), default=13)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out")
@@ -390,7 +386,7 @@ def build_parser():
         "hjy", help="run the move chain on essential graphs from empty"
     )
     sp.add_argument(
-        "--nmax", type=int, default=3, help="number of vertices"
+        "--nmax", type=_at_least(1), default=3, help="number of vertices"
     )
     sp.add_argument("--steps", type=_at_least(0), default=100)
     sp.add_argument("--seed", type=_at_least(0), default=0)

@@ -2,17 +2,18 @@
 
 States are essential graphs on a fixed vertex count.  A step proposes one of
 six move kinds (insert/delete arc, insert/delete line, make/remove
-immorality) with a uniformly chosen vertex tuple and accepts when the edited
-graph is itself an essential graph; equivalently, repairing the edit to the
-essential graph of one of its consistent extensions changes nothing.
-Accepting a repair that moves other edges would break reversibility: from
+immorality) with a uniformly chosen vertex tuple, makes the literal edit, and
+accepts exactly when the edited graph is itself an essential graph; the new
+state is then the edit, nothing more.  A rule that instead repaired the edit
+(say, to the essential graph of one of its consistent extensions) and
+accepted the repair would move other edges and break reversibility: from
 the immorality 0->1<-2, deleting 2->1 repairs to the line 0-1, but
 reinserting 2->1 there repairs to the undirected path, so the reverse move
-is rejected and detailed balance fails.  Restricted to edits that are
-already essential, insert and delete of the same tuple are exact inverses
-proposed with equal probability, the kernel is symmetric, and the uniform
-law is stationary.  ``emptying_sequence`` realizes the constructive walk
-from any essential graph down to the empty graph, which shows the chain is
+is rejected and detailed balance fails.  With only essential edits
+accepted, insert and delete of the same tuple are exact inverses proposed
+with equal probability, the kernel is symmetric, and the uniform law is
+stationary.  ``emptying_sequence`` realizes the constructive walk from any
+essential graph down to the empty graph, which shows the chain is
 connected, and every one of its moves is accepted under this rule.
 """
 
@@ -22,9 +23,8 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .essential import essential_graph_of_dag, is_essential_graph
+from .essential import is_essential_graph
 from .graphs import Dag, Pdag, edge_key, format_pdag, perfect_elimination_ordering
 from .posets import poset_stats, reachability_poset
 
@@ -108,66 +108,64 @@ def consistent_extension(p):
     return Dag(p.n, result)
 
 
-@lru_cache(maxsize=200_000)
-def _repair(p):
-    """Essential graph of the modified Pdag, or None when it has no extension."""
-    ext = consistent_extension(p)
-    if ext is None:
-        return None
-    return essential_graph_of_dag(ext)
+def _edit(state, move):
+    """The literal edit of ``move`` on ``state`` as a Pdag, or None when a
+    precondition fails: a repeated vertex, an insert on an adjacent pair, a
+    delete of a missing edge, an immorality whose outer vertices are
+    adjacent or whose two edges are not both lines (make) or both arcs into
+    the middle vertex (remove)."""
+    kind = move.kind
+    arcs = set(state.arcs)
+    lines = set(state.lines)
+    if "immorality" in kind:
+        a, b, c = move.vertices
+        if len({a, b, c}) != 3 or state.adjacent(a, c):
+            return None
+        pair_lines = {edge_key(a, b), edge_key(b, c)}
+        pair_arcs = {(a, b), (c, b)}
+        if kind == "make-immorality":
+            if not pair_lines <= lines:
+                return None
+            lines -= pair_lines
+            arcs |= pair_arcs
+        else:
+            if not pair_arcs <= arcs:
+                return None
+            arcs -= pair_arcs
+            lines |= pair_lines
+    else:
+        u, v = move.vertices
+        if u == v:
+            return None
+        if kind.startswith("insert"):
+            if state.adjacent(u, v):
+                return None
+            if kind == "insert-arc":
+                arcs.add((u, v))
+            else:
+                lines.add(edge_key(u, v))
+        elif kind == "delete-arc":
+            if (u, v) not in arcs:
+                return None
+            arcs.remove((u, v))
+        else:
+            if edge_key(u, v) not in lines:
+                return None
+            lines.remove(edge_key(u, v))
+    return Pdag(state.n, arcs, lines)
 
 
 def apply_move(state, move):
     """Apply one chain move to an essential graph.
 
-    Returns the new state, or None when the move is rejected: a precondition
-    fails, the edited graph has no consistent extension, or repairing to the
-    essential graph of that extension would change anything beyond the edit
-    itself.  The last rule subsumes the edge-keeps-its-type conditions and is
-    what makes the kernel symmetric.
+    Returns the literal edit when it is an essential graph, and None when
+    the move is rejected: a precondition fails or the edit is not essential.
+    Accepting only essential edits is what makes the kernel symmetric.
     """
-    kind = move.kind
-    arcs = set(state.arcs)
-    lines = set(state.lines)
-    if kind in ("insert-arc", "delete-arc", "insert-line", "delete-line"):
-        u, v = move.vertices
-        if u == v:
-            return None
-        if kind == "insert-arc":
-            if state.adjacent(u, v):
-                return None
-            arcs.add((u, v))
-        elif kind == "delete-arc":
-            if (u, v) not in arcs:
-                return None
-            arcs.remove((u, v))
-        elif kind == "insert-line":
-            if state.adjacent(u, v):
-                return None
-            lines.add(edge_key(u, v))
-        else:
-            if edge_key(u, v) not in lines:
-                return None
-            lines.remove(edge_key(u, v))
-    else:
-        a, b, c = move.vertices
-        if len({a, b, c}) != 3 or state.adjacent(a, c):
-            return None
-        if kind == "make-immorality":
-            if edge_key(a, b) not in lines or edge_key(b, c) not in lines:
-                return None
-            lines -= {edge_key(a, b), edge_key(b, c)}
-            arcs |= {(a, b), (c, b)}
-        else:
-            if (a, b) not in arcs or (c, b) not in arcs:
-                return None
-            arcs -= {(a, b), (c, b)}
-            lines |= {edge_key(a, b), edge_key(b, c)}
-    edited = Pdag(state.n, arcs, lines)
-    repaired = _repair(edited)
-    if repaired is None or repaired != edited:
+    edited = _edit(state, move)
+    if edited is None or not is_essential_graph(edited):
         return None
-    return repaired
+    return edited
 
 
 def propose(n, rng):
@@ -389,8 +387,8 @@ def emptying_sequence(eg):
     poset height >= 3 (non-cover parents first; with several covers keep the
     highest for last, with one cover clear the shared parents first); finally
     prune each remaining collider to two arcs, convert it to lines, and
-    delete them.  Every intermediate state must be essential; a violation
-    raises.
+    delete them.  Every move must be accepted, so every intermediate is the
+    literal edit and essential; a rejected move raises.
     """
     moves = []
     state = eg
@@ -400,13 +398,6 @@ def emptying_sequence(eg):
         result = apply_move(state, move)
         if result is None:
             raise ValueError(f"emptying move {move} was rejected at {state!r}")
-        expected = _expected_after(state, move)
-        if result != expected:
-            raise ValueError(
-                f"emptying move {move} repaired to a different graph"
-            )
-        if not is_essential_graph(result):
-            raise ValueError(f"intermediate after {move} is not essential")
         state = result
         moves.append(move)
 
@@ -474,30 +465,6 @@ def emptying_sequence(eg):
     if state.arcs or state.lines:
         raise ValueError("emptying did not reach the empty graph")
     return moves
-
-
-def _expected_after(state, move):
-    """The literal edit of a move, before repair; emptying moves must match."""
-    arcs = set(state.arcs)
-    lines = set(state.lines)
-    kind = move.kind
-    if kind == "delete-line":
-        lines.discard(edge_key(*move.vertices))
-    elif kind == "delete-arc":
-        arcs.discard(tuple(move.vertices))
-    elif kind == "remove-immorality":
-        a, b, c = move.vertices
-        arcs -= {(a, b), (c, b)}
-        lines |= {edge_key(a, b), edge_key(b, c)}
-    elif kind == "insert-arc":
-        arcs.add(tuple(move.vertices))
-    elif kind == "insert-line":
-        lines.add(edge_key(*move.vertices))
-    else:
-        a, b, c = move.vertices
-        lines -= {edge_key(a, b), edge_key(b, c)}
-        arcs |= {(a, b), (c, b)}
-    return Pdag(state.n, arcs, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_c8_hjy_chain():
 
     states4 = enumerate_essential_graphs(4)
     for s in states4:
-        moves = emptying_sequence(s)  # raises on non-essential intermediates
+        moves = emptying_sequence(s)  # raises on a rejected move
         assert len(moves) >= len(s.arcs) + len(s.lines)
 
     for states in (enumerate_essential_graphs(2), states3, states4):

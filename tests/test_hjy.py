@@ -17,6 +17,7 @@ from mecmc.graphs import Dag, Pdag, immoralities, skeleton
 from mecmc.hjy import (
     MOVE_KINDS,
     Move,
+    _mark,
     apply_move,
     consistent_extension,
     counterexample_family,
@@ -125,6 +126,97 @@ def test_extensions_of_essential_graphs_stay_in_class(states4):
         assert essential_graph_of_dag(d) == eg
 
 
+# The marks each move kind needs at its pairs before the edit and leaves
+# after it, in the convention of hjy._mark: ">" is an arc from the pair's
+# first vertex to its second, "line" a line, None no edge.
+def move_marks(move):
+    kind = move.kind
+    if "immorality" in kind:
+        a, b, c = move.vertices
+        lines = {(a, b): "line", (c, b): "line", (a, c): None}
+        arcs = {(a, b): ">", (c, b): ">", (a, c): None}
+        return (lines, arcs) if kind == "make-immorality" else (arcs, lines)
+    pair = tuple(move.vertices)
+    edge = {pair: ">" if "arc" in kind else "line"}
+    return ({pair: None}, edge) if kind.startswith("insert") else (edge, {pair: None})
+
+
+def literal_edit(state, move):
+    """The edit a move names, built from ``move_marks`` alone; None when the
+    state does not carry the marks the move needs."""
+    before, after = move_marks(move)
+    if any(_mark(state, u, v) != m for (u, v), m in before.items()):
+        return None
+    touched = {frozenset(pair) for pair in after}
+    arcs = {a for a in state.arcs if frozenset(a) not in touched}
+    lines = {e for e in state.lines if frozenset(e) not in touched}
+    for (u, v), m in after.items():
+        if m == ">":
+            arcs.add((u, v))
+        elif m == "line":
+            lines.add((min(u, v), max(u, v)))
+    return Pdag(state.n, arcs, lines)
+
+
+def repair_rule(state, move):
+    """The acceptance rule apply_move used before it tested the edit for
+    essentiality: repair the literal edit to the essential graph of a
+    consistent extension and accept iff the repair changes nothing."""
+    edited = literal_edit(state, move)
+    if edited is None:
+        return None
+    ext = consistent_extension(edited)
+    if ext is None or essential_graph_of_dag(ext) != edited:
+        return None
+    return edited
+
+
+def all_moves(n):
+    """Every move kind with every ordered tuple of distinct vertices."""
+    for kind in MOVE_KINDS:
+        size = 3 if "immorality" in kind else 2
+        for vs in itertools.permutations(range(n), size):
+            yield Move(kind, vs)
+
+
+def test_apply_move_agrees_with_repair_rule_n4(states4):
+    pairs = 0
+    for s in states4:
+        accepted = set()
+        for m in all_moves(4):
+            got = apply_move(s, m)
+            assert got == repair_rule(s, m), (s, m)
+            pairs += 1
+            # legal_moves lists line and immorality tuples in sorted order only
+            if got is not None and ("arc" in m.kind or m.vertices[0] < m.vertices[-1]):
+                accepted.add((m, got))
+        assert accepted == set(legal_moves(s))
+    assert pairs == 17_760
+
+
+@pytest.mark.parametrize("n, seed", [(6, 61), (8, 83)])
+def test_apply_move_agrees_with_repair_rule_on_walks(n, seed):
+    rng = np.random.default_rng(seed)
+    state = Pdag(n, [], [])
+    accepted = 0
+    for _ in range(3000):
+        move = propose(n, rng)
+        got = apply_move(state, move)
+        assert got == repair_rule(state, move), (state, move)
+        if got is not None:
+            state = got
+            accepted += 1
+    assert accepted > 100
+
+
+def test_accepted_moves_are_literal_edits_n4(states4):
+    for s in states4:
+        for m, r in legal_moves(s):
+            assert hamming_distance(s, r) == (2 if "immorality" in m.kind else 1)
+            _, after = move_marks(m)
+            assert all(_mark(r, u, v) == mark for (u, v), mark in after.items())
+
+
 def test_apply_move_examples():
     empty = Pdag(3, [], [])
     got = apply_move(empty, Move("insert-line", (0, 1)))
@@ -227,8 +319,8 @@ def test_emptying_examples():
 
 
 def test_emptying_all_n4(states4):
-    # emptying_sequence itself asserts each intermediate is the literal edit
-    # and essential; here we pin the totals
+    # emptying_sequence raises on a rejected move, and apply_move accepts
+    # only literal edits that are essential; here we pin the totals
     lengths = [len(emptying_sequence(s)) for s in states4]
     assert sum(lengths) == 766
     assert all(
