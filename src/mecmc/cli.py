@@ -230,33 +230,45 @@ def cmd_diagnose(args):
 
 def cmd_ratio(args):
     # the counts reach thousands of decimal digits well before n = 200;
-    # lift the interpreter's int-to-str guard so they serialize in full
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 50_000))
-    config = RunConfig(
-        subcommand="ratio",
-        nmax=args.nmax,
-        precision=args.precision,
-        format=args.format,
-        out=args.out,
-    )
-    rows = [
-        {
-            "n": r.n,
-            "essential_dags": str(r.essential_dags),
-            "dags": str(r.dags),
-            "ratio": posets.decimal_string(r.ratio, args.precision),
-            "adjusted_ratio": posets.decimal_string(r.adjusted, args.precision),
-        }
-        for r in posets.ratio_table(args.nmax)
-    ]
-    if args.format == "csv":
-        out = [f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
-        out.append("n,essential_dags,dags,ratio,adjusted_ratio")
-        out.extend(",".join(map(str, row.values())) for row in rows)
-        _emit("\n".join(out) + "\n", args.out)
-    else:
-        _emit(_dump_json({"config": config.to_dict(), "rows": rows}), args.out)
+    # lift the interpreter's int-to-str guard (0 means no limit) while they
+    # serialize in full, and restore it afterwards
+    old_limit = 0
+    if hasattr(sys, "get_int_max_str_digits"):
+        old_limit = sys.get_int_max_str_digits()
+    if old_limit:
+        sys.set_int_max_str_digits(max(old_limit, 50_000))
+    try:
+        config = RunConfig(
+            subcommand="ratio",
+            nmax=args.nmax,
+            precision=args.precision,
+            format=args.format,
+            out=args.out,
+        )
+        rows = [
+            {
+                "n": r.n,
+                "essential_dags": str(r.essential_dags),
+                "dags": str(r.dags),
+                "ratio": posets.decimal_string(
+                    (r.dags, r.essential_dags), args.precision
+                ),
+                "adjusted_ratio": posets.decimal_string(
+                    r.adjusted_pair, args.precision
+                ),
+            }
+            for r in posets.ratio_table(args.nmax)
+        ]
+        if args.format == "csv":
+            out = [f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
+            out.append("n,essential_dags,dags,ratio,adjusted_ratio")
+            out.extend(",".join(map(str, row.values())) for row in rows)
+            _emit("\n".join(out) + "\n", args.out)
+        else:
+            _emit(_dump_json({"config": config.to_dict(), "rows": rows}), args.out)
+    finally:
+        if old_limit:
+            sys.set_int_max_str_digits(old_limit)
     return 0
 
 
@@ -286,11 +298,12 @@ def cmd_hjy(args):
     rng = np.random.default_rng(args.seed)
     state = Pdag(n, set(), set())
     lines = [json.dumps({"config": config.to_dict()}, sort_keys=True)]
-    lines.append(
-        json.dumps({"step": 0, "state": hjy.state_hash(state)}, sort_keys=True)
-    )
+    digest = hjy.state_hash(state)
+    lines.append(json.dumps({"step": 0, "state": digest}, sort_keys=True))
     for t in range(1, args.steps + 1):
         state, move, accepted = hjy.step(state, rng)
+        if accepted:  # a rejected step returns the same state
+            digest = hjy.state_hash(state)
         lines.append(
             json.dumps(
                 {
@@ -298,7 +311,7 @@ def cmd_hjy(args):
                     "kind": move.kind if move else None,
                     "vertices": list(move.vertices) if move else None,
                     "accepted": accepted,
-                    "state": hjy.state_hash(state),
+                    "state": digest,
                 },
                 sort_keys=True,
             )

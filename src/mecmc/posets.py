@@ -203,12 +203,16 @@ def singleton_class_count_bruteforce(n, enumerate_dags=None):
 
 
 def robinson_counts(nmax):
-    """a'_n, the number of labeled DAGs, by Robinson's recursion."""
+    """a'_n, the number of labeled DAGs, by Robinson's recursion.
+
+    The power of two in each term is applied as a shift, so every step costs
+    time linear in the size of the numbers.
+    """
     a = [1]
     for n in range(1, nmax + 1):
         total = 0
         for i in range(1, n + 1):
-            term = math.comb(n, i) * (1 << (i * (n - i))) * a[n - i]
+            term = (math.comb(n, i) * a[n - i]) << (i * (n - i))
             total += term if i % 2 == 1 else -term
         a.append(total)
     return a
@@ -216,36 +220,40 @@ def robinson_counts(nmax):
 
 def steinsky_counts(nmax):
     """a_n, the number of essential DAGs (singleton classes), by Steinsky's
-    recursion."""
+    recursion.
+
+    With m = n - i the term of a_n is C(n, m) (2^m - m)^(n-m) a_m.  The
+    running products c[m] = (2^m - m)^(n-m) a_m advance from n - 1 to n by
+    one multiply by the small factor 2^m - m, so no power is recomputed.
+    """
     a = [1]
+    c = []
     for n in range(1, nmax + 1):
+        for m in range(n - 1):
+            c[m] *= (1 << m) - m
+        c.append(((1 << (n - 1)) - (n - 1)) * a[n - 1])
         total = 0
-        for i in range(1, n + 1):
-            term = math.comb(n, i) * (2 ** (n - i) - (n - i)) ** i * a[n - i]
-            total += term if i % 2 == 1 else -term
+        for m in range(n):
+            term = math.comb(n, m) * c[m]
+            total += term if (n - m) % 2 == 1 else -term
         a.append(total)
     return a
 
 
-def q_pochhammer(a, q, n):
-    """(a; q)_n = prod_{i=0}^{n-1} (1 - a q^i), exactly in rationals."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    a, q = Fraction(a), Fraction(q)
-    out = Fraction(1)
-    power = Fraction(1)
-    for _ in range(n):
-        out *= 1 - a * power
-        power *= q
-    return out
-
-
 def decimal_string(x, digits):
-    """Truncated decimal rendering of an exact rational."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x.numerator * 10**digits // x.denominator
+    """Truncated decimal rendering of an exact rational.
+
+    ``x`` is a number or a ``(numerator, denominator)`` pair of ints with a
+    positive denominator; a pair need not be in lowest terms, so no gcd is
+    taken.
+    """
+    if isinstance(x, tuple):
+        num, den = x
+    else:
+        x = Fraction(x)
+        num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    scaled = abs(num) * 10**digits // den
     whole, frac = divmod(scaled, 10**digits)
     if digits == 0:
         return f"{sign}{whole}"
@@ -254,24 +262,59 @@ def decimal_string(x, digits):
 
 @dataclass
 class RatioRow:
+    """One row of the ratio table, held as exact integers.
+
+    ``ratio`` is dags / essential_dags and ``adjusted`` is ratio times
+    (1/2; 1/2)_{n-2} = pochhammer_num / 2^pochhammer_shift.  Both are
+    reduced Fractions; ``adjusted_pair`` is the unreduced (numerator,
+    denominator) pair that ``decimal_string`` truncates without a gcd.
+    """
+
     n: int
     dags: int
     essential_dags: int
-    ratio: Fraction
-    adjusted: Fraction
+    pochhammer_num: int
+    pochhammer_shift: int
+
+    @property
+    def adjusted_pair(self):
+        return (
+            self.dags * self.pochhammer_num,
+            self.essential_dags << self.pochhammer_shift,
+        )
+
+    @property
+    def ratio(self):
+        return Fraction(self.dags, self.essential_dags)
+
+    @property
+    def adjusted(self):
+        return Fraction(*self.adjusted_pair)
 
 
 def ratio_table(nmax):
-    """Rows (n, a'_n, a_n, a'_n/a_n, same times (1/2; 1/2)_{n-2}) for n >= 2."""
+    """Rows (n, a'_n, a_n, a'_n/a_n, same times (1/2; 1/2)_{n-2}) for n >= 2.
+
+    (1/2; 1/2)_{n-2} is carried as the integer prod_{k=1}^{n-2} (2^k - 1)
+    over 2^((n-2)(n-1)/2), one multiply by a small factor per row.
+    """
     if nmax > 300:
         raise ValueError("ratio table capped at n = 300")
     dags = robinson_counts(nmax)
     ess = steinsky_counts(nmax)
     rows = []
+    q_num, q_shift = 1, 0
     for n in range(2, nmax + 1):
-        ratio = Fraction(dags[n], ess[n])
-        adj = ratio * q_pochhammer(Fraction(1, 2), Fraction(1, 2), n - 2)
+        if n > 2:
+            q_num *= (1 << (n - 2)) - 1
+            q_shift += n - 2
         rows.append(
-            RatioRow(n=n, dags=dags[n], essential_dags=ess[n], ratio=ratio, adjusted=adj)
+            RatioRow(
+                n=n,
+                dags=dags[n],
+                essential_dags=ess[n],
+                pochhammer_num=q_num,
+                pochhammer_shift=q_shift,
+            )
         )
     return rows

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -275,6 +276,37 @@ def test_ratio_full_range(tmp_path):
     assert len(dags) > 4300 and dags.isdigit()
     assert ratio == "13.6517978587767"
     assert adjusted.startswith("3.94")
+
+
+# sha256 of the `mecmc ratio` output, recorded while the table was still
+# built with full powers, from-scratch q-Pochhammer products and reduced
+# Fractions
+PINNED_RATIO = {
+    ("--precision", "13"): "fc4e01c9b4e8b2bfc490efc5fdf9c220d9af528827ecfe36855bfbe149ccaf56",
+    ("--format", "json", "--precision", "0"): "ac0365636e8163757b9def9894e1268a4b3ec9d4d2dee72c6bc8aabb5c6414dc",
+    ("--format", "json", "--precision", "40"): "d8b936a3310788848b38e1641f3e99fca4344ed9cc13cac4b6261236dbf72b36",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_RATIO))
+def test_ratio_output_is_pinned(capsys, flags):
+    assert main(["ratio", "--nmax", "200", *flags]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_RATIO[flags]
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_ratio_restores_int_str_limit(tmp_path, limit):
+    # ratio lifts the int-to-str digit limit only while it writes; later
+    # calls in the same interpreter see the limit they had (0 = unlimited)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        out = tmp_path / "ratio.csv"
+        assert main(["ratio", "--nmax", "200", "--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_ratio_json(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for poset enumeration and the exact DAG/essential-DAG counts."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from mecmc.posets import (
     decimal_string,
     enumerate_labeled_posets,
     poset_stats,
-    q_pochhammer,
     ratio_table,
     reachability_poset,
     robinson_counts,
@@ -51,6 +51,20 @@ def brute_posets(n):
         ):
             continue
         out.add(frozenset(rel))
+    return out
+
+
+def q_pochhammer(a, q, n):
+    """(a; q)_n = prod_{i=0}^{n-1} (1 - a q^i), from scratch in rationals;
+    the reference for the integer product that ratio_table carries."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    a, q = Fraction(a), Fraction(q)
+    out = Fraction(1)
+    power = Fraction(1)
+    for _ in range(n):
+        out *= 1 - a * power
+        power *= q
     return out
 
 
@@ -153,8 +167,6 @@ def test_recursion_hand_values():
 def test_chain_posets_contribute_no_essential_dags():
     # A total order on n elements carries 2^C(n-1,2) DAGs and, because some
     # element has d(v) = c(v) = 1, zero essential DAGs.
-    import math
-
     for n in range(2, 8):
         leq = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
         s = poset_stats(Poset(n, leq))
@@ -235,3 +247,69 @@ def test_ratio_table_cap_and_positivity():
     for r in ratio_table(30):
         assert r.essential_dags <= r.dags
         assert r.ratio > 0
+
+
+# ---------------------------------------------------------------------------
+# oracle: the recursions and the ratio table as first written, with full
+# powers, a from-scratch q_pochhammer per row and reduced Fractions
+
+
+def oracle_robinson(nmax):
+    a = [1]
+    for n in range(1, nmax + 1):
+        total = 0
+        for i in range(1, n + 1):
+            term = math.comb(n, i) * (1 << (i * (n - i))) * a[n - i]
+            total += term if i % 2 == 1 else -term
+        a.append(total)
+    return a
+
+
+def oracle_steinsky(nmax):
+    a = [1]
+    for n in range(1, nmax + 1):
+        total = 0
+        for i in range(1, n + 1):
+            term = math.comb(n, i) * (2 ** (n - i) - (n - i)) ** i * a[n - i]
+            total += term if i % 2 == 1 else -term
+        a.append(total)
+    return a
+
+
+@pytest.fixture(scope="module")
+def oracle_counts():
+    return oracle_robinson(300), oracle_steinsky(300)
+
+
+def test_recursions_match_oracle_to_300(oracle_counts):
+    dags, ess = oracle_counts
+    assert robinson_counts(300) == dags
+    assert steinsky_counts(300) == ess
+
+
+def test_ratio_table_matches_oracle_to_300(oracle_counts):
+    dags, ess = oracle_counts
+    rows = ratio_table(300)
+    assert [r.n for r in rows] == list(range(2, 301))
+    half = Fraction(1, 2)
+    for r in rows:
+        ratio = Fraction(dags[r.n], ess[r.n])
+        adjusted = ratio * q_pochhammer(half, half, r.n - 2)
+        assert (r.dags, r.essential_dags) == (dags[r.n], ess[r.n])
+        assert r.ratio == ratio
+        assert r.adjusted == adjusted
+        ratio_pair = (r.dags, r.essential_dags)
+        for digits in (0, 13):
+            assert decimal_string(ratio_pair, digits) == decimal_string(ratio, digits)
+            assert decimal_string(r.adjusted_pair, digits) == decimal_string(
+                adjusted, digits
+            )
+
+
+def test_decimal_string_of_unreduced_pairs():
+    for num, den in [(2, 6), (-10, 80), (0, 7), (700, 200), (9, 3)]:
+        for digits in (0, 1, 5):
+            assert decimal_string((num, den), digits) == decimal_string(
+                Fraction(num, den), digits
+            )
+    assert decimal_string((-3, 6), 2) == "-0.50"
