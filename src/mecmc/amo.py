@@ -10,84 +10,12 @@ graph H_G whose vertices are AMOs and whose edges are single-edge reversals.
 from __future__ import annotations
 
 import itertools
-import json
-from functools import cached_property
 
 import numpy as np
 
-from .graphs import (
-    CapExceededError,
-    UndirectedGraph,
-    edge_key,
-    is_acyclic,
-    maximal_cliques,
-    require_chordal,
-)
+from .graphs import CapExceededError, edge_key, maximal_cliques, require_chordal
 
 DEFAULT_STATE_CAP = 5_000_000
-
-
-class Amo:
-    """One acyclic v-configuration-free orientation of a chordal base graph."""
-
-    def __init__(self, graph, arcs):
-        self.graph = graph
-        arcs = frozenset(arcs)
-        if {edge_key(u, v) for u, v in arcs} != graph.edges:
-            raise ValueError("orientation must cover exactly the base edges")
-        self.arcs = arcs
-        par = [set() for _ in range(graph.n)]
-        for u, v in arcs:
-            par[v].add(u)
-        self.parents = tuple(frozenset(s) for s in par)
-
-    def key(self):
-        return tuple(sorted(self.arcs))
-
-    def source(self):
-        """The unique vertex of in-degree zero (unique for connected bases)."""
-        sources = [v for v in range(self.graph.n) if not self.parents[v]]
-        if len(sources) != 1:
-            raise ValueError(f"expected a unique source, found {sources}")
-        return sources[0]
-
-    def flip(self, edge):
-        u, v = edge
-        if (u, v) not in self.arcs:
-            u, v = v, u
-        if (u, v) not in self.arcs:
-            raise ValueError(f"{edge} is not an edge of the orientation")
-        return Amo(self.graph, (self.arcs - {(u, v)}) | {(v, u)})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Amo)
-            and self.graph == other.graph
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self):
-        return hash((self.graph, self.arcs))
-
-    def __repr__(self):
-        return f"Amo({sorted(self.arcs)!r})"
-
-
-def is_amo(g, arcs):
-    """Check a candidate arc set: covers the edges, acyclic, no v-configuration."""
-    arcs = set(arcs)
-    if {edge_key(u, v) for u, v in arcs} != g.edges or len(arcs) != len(g.edges):
-        return False
-    if not is_acyclic(g.n, arcs):
-        return False
-    parents = [set() for _ in range(g.n)]
-    for u, v in arcs:
-        parents[v].add(u)
-    for v in range(g.n):
-        for a, b in itertools.combinations(sorted(parents[v]), 2):
-            if not g.has_edge(a, b):
-                return False
-    return True
 
 
 def _rooted_closure(adj, root):
@@ -199,8 +127,9 @@ def count_amos(g):
     return total
 
 
-def _amo_keys(g, cap):
-    """Canonical arc tuples of every AMO of a connected chordal graph, sorted."""
+def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
+    """Canonical arc tuples (keys) of every AMO of a connected chordal graph,
+    sorted; ``cap`` bounds their number, ``None`` for no bound."""
     require_chordal(g)
     if not g.is_connected():
         raise ValueError("enumerate_amos expects a connected graph")
@@ -212,67 +141,12 @@ def _amo_keys(g, cap):
     return sorted(tuple(sorted(arcs)) for arcs in _amo_arcsets(adj))
 
 
-def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
-    """All AMOs of a connected chordal graph, sorted by canonical key."""
-    return [Amo(g, key) for key in _amo_keys(g, cap)]
-
-
-def orient_from_source_sequence(g, seq):
-    """Orient by repeatedly removing the named source.
-
-    Each vertex in ``seq`` orients its still-undirected incident edges
-    outward and leaves the graph.  The sequence is rejected when a removal
-    would give some later vertex two nonadjacent already-removed neighbors,
-    which is exactly when the construction stops describing an AMO.
-    """
-    if sorted(seq) != list(range(g.n)):
-        raise ValueError("sequence must be a permutation of the vertices")
-    removed = [set() for _ in range(g.n)]  # earlier neighbors per vertex
-    arcs = []
-    gone = set()
-    for v in seq:
-        for a, b in itertools.combinations(sorted(removed[v]), 2):
-            if not g.has_edge(a, b):
-                raise ValueError(
-                    f"vertex {v} is not a valid source: earlier neighbors "
-                    f"{a} and {b} are nonadjacent"
-                )
-        gone.add(v)
-        for w in g.adj[v]:
-            if w not in gone:
-                arcs.append((v, w))
-                removed[w].add(v)
-    return Amo(g, arcs)
-
-
 def peo_orientation(g):
-    """The canonical start state: orient each edge toward the earlier-eliminated
-    endpoint of the MCS perfect elimination ordering."""
+    """Key of the canonical start state: each edge oriented toward the
+    earlier-eliminated endpoint of the MCS perfect elimination ordering."""
     peo = require_chordal(g)
     pos = {v: i for i, v in enumerate(peo)}
-    return Amo(g, ((u, v) if pos[u] > pos[v] else (v, u) for u, v in g.edges))
-
-
-def flip_candidates(a):
-    """Edges whose reversal is again an AMO.
-
-    An arc u->v can be reversed exactly when it is covered:
-    parents(u) == parents(v) - {u}.
-    """
-    out = []
-    for u, v in a.arcs:
-        if a.parents[u] == a.parents[v] - {u}:
-            out.append(edge_key(u, v))
-    return sorted(out)
-
-
-def non_follower_cliques(a, cliques):
-    """Indices of cliques receiving no arc from outside themselves."""
-    out = []
-    for i, t in enumerate(cliques):
-        if all(a.parents[w] <= t for w in t):
-            out.append(i)
-    return frozenset(out)
+    return tuple(sorted((u, v) if pos[u] > pos[v] else (v, u) for u, v in g.edges))
 
 
 class OrientationSpace:
@@ -285,7 +159,7 @@ class OrientationSpace:
     proposing edge e: the flip when e is covered, i itself otherwise.
     ``adjacency[i]`` lists the states one legal flip away; ``nonfollower_counts``
     gives M(v) in deg(v) = |G| - C(G) + M(v) - 1.  ``index`` maps keys to
-    states; ``states``, the ``Amo`` objects, are built only on first access.
+    states.
     """
 
     def __init__(self, graph, keys, parents, flip_rows, cliques, nonfollower_sets):
@@ -301,10 +175,6 @@ class OrientationSpace:
         self.nonfollower_counts = [len(s) for s in nonfollower_sets]
         self.index = {key: i for i, key in enumerate(keys)}
 
-    @cached_property
-    def states(self):
-        return [Amo(self.graph, key) for key in self.keys]
-
     @property
     def size(self):
         return len(self.keys)
@@ -312,19 +182,9 @@ class OrientationSpace:
     def degree(self, i):
         return len(self.adjacency[i])
 
-    def to_json(self):
-        """Adjacency-list export for external spectrum tooling."""
-        payload = {
-            "n": self.graph.n,
-            "edges": sorted(map(list, self.graph.edges)),
-            "states": [[list(arc) for arc in key] for key in self.keys],
-            "adjacency": [list(nbrs) for nbrs in self.adjacency],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
-    keys = _amo_keys(g, cap)
+    keys = enumerate_amos(g, cap)
     parents = []
     for key in keys:
         par = [0] * g.n

@@ -112,6 +112,8 @@ def _arc_string(key):
 def _orientation_space(path):
     """Flip graph of the connected chordal graph in ``path``, MECMC_STATE_CAP capped."""
     g = parse_undirected(_read_input(path))
+    if g.n == 0:
+        raise ValueError("input graph has no vertices")
     require_chordal(g)
     if not g.is_connected():
         raise ValueError("input graph must be connected")

@@ -116,18 +116,6 @@ def essential_graph_of_dag(d):
         lines.add(edge_key(*weak))
 
 
-def essential_graph_by_intersection(d, cap=MEC_ENUM_CAP):
-    """Reference semantics: arcs oriented identically across the whole class."""
-    members = mec_of_dag(d, cap=cap)
-    common = frozenset.intersection(*(m.arcs for m in members))
-    lines = {
-        edge_key(u, v)
-        for u, v in skeleton(d).edges
-        if (u, v) not in common and (v, u) not in common
-    }
-    return Pdag(d.n, common, lines)
-
-
 def is_essential_graph(p):
     """The four-condition characterization of essential graphs."""
     if has_partially_directed_cycle(p):
@@ -177,7 +165,7 @@ def class_members(p):
     comps, choices = [], []
     for comp, sub in _chain_components(p):
         comps.append(comp)
-        choices.append(amo_mod._amo_keys(sub, None))
+        choices.append(amo_mod.enumerate_amos(sub, None))
     # relabel member by member: only one member's arcs are alive at a time
     for combo in itertools.product(*choices):
         arcs = list(p.arcs)

@@ -29,16 +29,15 @@ EIGEN_TOL = 1e-9
 
 
 class TransitionMatrix:
-    """The lazy edge-flip chain over a flip table, with its state labels.
+    """The lazy edge-flip chain over a flip table.
 
     ``flip_table[i, e]`` is the state reached from i by proposing edge e, so
     P[i, j] = 1/|E| for each edge leading to j != i and P[i, i] = 1 - deg/|E|.
     The dense ``matrix`` is built on first access, under ``cap`` states.
     """
 
-    def __init__(self, flip_table, labels=None, cap=DENSE_SPECTRUM_CAP):
+    def __init__(self, flip_table, cap=DENSE_SPECTRUM_CAP):
         self.flip_table = np.asarray(flip_table, dtype=np.int64)
-        self.labels = labels
         self.cap = cap
 
     @property
@@ -92,7 +91,7 @@ def transition_matrix(space, cap=DENSE_SPECTRUM_CAP):
     ``cap`` bounds the states of the dense matrix, which is built only when
     ``.matrix`` is first read.
     """
-    return TransitionMatrix(space.flip_table, labels=list(space.keys), cap=cap)
+    return TransitionMatrix(space.flip_table, cap=cap)
 
 
 def _lambda2_dense(tm):
@@ -131,36 +130,20 @@ def spectral_gap(tm):
     return float(1.0 - lam2)
 
 
-def step(a, rng):
-    """One chain step from the Amo ``a``: propose a uniform edge, flip if legal."""
-    edges = sorted(a.graph.edges)
-    u, v = edges[int(rng.integers(len(edges)))]
-    if (v, u) in a.arcs:
-        u, v = v, u
-    if a.parents[u] == a.parents[v] - {u}:
-        return a.flip((u, v))
-    return a
-
-
-def sample(g, steps, rng, start=None):
-    """Run the chain ``steps`` steps from the canonical PEO orientation."""
-    a = start if start is not None else amo_mod.peo_orientation(g)
-    for _ in range(steps):
-        a = step(a, rng)
-    return a
-
-
 def move_table(space):
     """The stored flip table: state index after proposing edge e from state i."""
     return space.flip_table
 
 
-def sample_many(space, steps, count, rng, start_index=None):
-    """Vectorized replicas of the chain; returns final state indices."""
-    if start_index is None:
-        start_index = space.index[amo_mod.peo_orientation(space.graph).key()]
-    x = np.full(count, start_index, dtype=np.int64)
+def sample_many(space, steps, count, rng):
+    """Vectorized replicas of the chain from the canonical PEO orientation;
+    returns final state indices."""
+    start = space.index[amo_mod.peo_orientation(space.graph)]
+    x = np.full(count, start, dtype=np.int64)
     m = space.graph.num_edges
+    if m == 0:
+        # edgeless graph: one state and no edge to propose, so no draws
+        return x
     for _ in range(steps):
         x = space.flip_table[x, rng.integers(0, m, size=count)]
     return x
@@ -175,9 +158,9 @@ def exact_distribution(tm, start, steps):
     return mu
 
 
-def empirical_tv(space, steps, samples, rng, start_index=None):
+def empirical_tv(space, steps, samples, rng):
     """Total variation distance between an empirical histogram and uniform."""
-    final = sample_many(space, steps, samples, rng, start_index=start_index)
+    final = sample_many(space, steps, samples, rng)
     counts = np.bincount(final, minlength=space.size)
     emp = counts / samples
     return float(0.5 * np.abs(emp - 1.0 / space.size).sum())
@@ -284,8 +267,8 @@ class DecompositionStats:
 
     ``clique_weights[i]`` is |t_i|! |D_i|, the size of the piece H_{t_i} x D_i;
     ``z`` is their sum; ``o_g`` = z / min over tree edges of |t_j & t_k|! |D_{j,k}|.
-    ``theta`` defaults to the clique-tree degree; the Madras-Randall framework
-    itself would use the maximum overlap, max ``space.nonfollower_counts``.
+    ``theta`` is the clique-tree degree; the Madras-Randall framework itself
+    would use the maximum overlap, max ``space.nonfollower_counts``.
     """
 
     o_g: Fraction
@@ -297,7 +280,7 @@ class DecompositionStats:
     min_separator_weight: int
 
 
-def decomposition_stats(ct, theta=None):
+def decomposition_stats(ct):
     weights = [
         math.factorial(len(c)) * d for c, d in zip(ct.cliques, ct.dilations)
     ]
@@ -319,7 +302,7 @@ def decomposition_stats(ct, theta=None):
         o_g = Fraction(1)
     return DecompositionStats(
         o_g=o_g,
-        theta=ct.degree() if theta is None else theta,
+        theta=ct.degree(),
         diameter=ct.diameter(),
         t_max=ct.max_clique_size(),
         z=z,
@@ -364,8 +347,8 @@ class ProjectionChain:
         return float(1.0 - ev[-2])
 
 
-def projection_chain(ct, theta=None):
-    stats = decomposition_stats(ct, theta=theta)
+def projection_chain(ct):
+    stats = decomposition_stats(ct)
     k = len(ct.cliques)
     th = stats.theta
     P = [[Fraction(0) for _ in range(k)] for _ in range(k)]
@@ -373,13 +356,10 @@ def projection_chain(ct, theta=None):
         sep = ct.separator_sizes[(i, j)]
         P[i][j] = Fraction(1, th * math.comb(len(ct.cliques[i]), sep))
         P[j][i] = Fraction(1, th * math.comb(len(ct.cliques[j]), sep))
+    # theta is the tree's maximum degree and each off-diagonal entry is at
+    # most 1/theta, so every row mass is at most 1
     for i in range(k):
-        mass = sum(P[i][j] for j in range(k) if j != i)
-        if mass > 1:
-            raise ValueError(
-                f"row mass {mass} exceeds 1 at clique {i}; theta too small"
-            )
-        P[i][i] = 1 - mass
+        P[i][i] = 1 - sum(P[i][j] for j in range(k) if j != i)
     z = stats.z
     pi = [Fraction(w, z) for w in stats.clique_weights]
     return ProjectionChain(matrix=P, pi=pi, cliques=list(ct.cliques))
@@ -396,43 +376,31 @@ def comparison_bound(stats):
     return 1 / (stats.o_g * stats.theta * stats.diameter)
 
 
-def restriction_gap(ct, n_vertices, num_edges, denominator="edges"):
+def restriction_gap(ct, num_edges):
     """Worst product-chain gap over the pieces H_{t_i} x D_i.
 
     Every factor clique of size m contributes an adjacent-transposition walk
-    with gap 2(1 - cos(pi/m)) once rescaled by its move probability.  With
-    ``denominator="edges"`` each specific transposition is proposed with
-    probability 1/|E| (the rate the restricted flip chain actually uses);
-    ``"vertices_minus_cliques"`` reproduces the looser normalization
-    min_c w_c gamma_c = 2(1 - cos(pi/t_max)) / (|G| - |T|), which can exceed
-    the true restriction gap.
+    with gap 2(1 - cos(pi/m)) once rescaled by its move probability.  Each
+    specific transposition is proposed with probability 1/|E|, the rate the
+    restricted flip chain actually uses; the displayed normalization
+    2(1 - cos(pi/t_max)) / (|G| - |T|) can exceed the true restriction gap.
     """
-    t_max = ct.max_clique_size()
-    if denominator == "edges":
-        scale = num_edges
-    elif denominator == "vertices_minus_cliques":
-        scale = n_vertices - ct.num_cliques
-        if scale <= 0:
-            raise ValueError("needs |G| > |T|")
-    else:
-        raise ValueError(f"unknown denominator {denominator!r}")
-    return 2.0 * (1.0 - math.cos(math.pi / t_max)) / scale
+    return 2.0 * (1.0 - math.cos(math.pi / ct.max_clique_size())) / num_edges
 
 
-def madras_randall_bound(g, ct=None, theta=None, denominator="edges"):
+def madras_randall_bound(g, ct=None):
     """Assembled lower bound on the spectral gap of the edge-flip chain:
 
         Gap >= (1/theta^2) * comparison_bound * restriction_gap.
 
-    Requires at least two maximal cliques.  The default uses theta = deg(T)
-    and the 1/|E| restriction normalization, which together stay below the
-    exact gap on the validity suite; ``denominator="vertices_minus_cliques"``
-    recovers the looser displayed constant instead.
+    Requires at least two maximal cliques.  With theta = deg(T) and the
+    1/|E| restriction normalization the bound stays below the exact gap on
+    the validity suite.
     """
     if ct is None:
         ct = clique_tree(g)
     if ct.num_cliques < 2:
         raise ValueError("decomposition bound needs at least two maximal cliques")
-    stats = decomposition_stats(ct, theta=theta)
-    gamma = restriction_gap(ct, g.n, g.num_edges, denominator=denominator)
+    stats = decomposition_stats(ct)
+    gamma = restriction_gap(ct, g.num_edges)
     return float(comparison_bound(stats)) * gamma / stats.theta**2

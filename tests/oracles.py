@@ -1,0 +1,159 @@
+"""Per-object reference implementations, kept only to check the library.
+
+The library holds an AMO as its sorted canonical arc tuple (the key) and the
+flip graph as ``OrientationSpace``'s arrays.  The routines here do the same
+work one Python object at a time, in the most direct form: an ``Amo`` built
+from a key, the covered-edge and non-follower tests on parent sets, the
+chain step on one ``Amo``, and the essential graph as the arcs shared by
+every member of the class.
+"""
+
+import itertools
+
+from mecmc.amo import peo_orientation
+from mecmc.essential import MEC_ENUM_CAP, mec_of_dag
+from mecmc.graphs import Pdag, edge_key, is_acyclic, skeleton
+
+
+class Amo:
+    """One acyclic v-configuration-free orientation of a chordal base graph."""
+
+    def __init__(self, graph, arcs):
+        self.graph = graph
+        arcs = frozenset(arcs)
+        if {edge_key(u, v) for u, v in arcs} != graph.edges:
+            raise ValueError("orientation must cover exactly the base edges")
+        self.arcs = arcs
+        par = [set() for _ in range(graph.n)]
+        for u, v in arcs:
+            par[v].add(u)
+        self.parents = tuple(frozenset(s) for s in par)
+
+    def key(self):
+        return tuple(sorted(self.arcs))
+
+    def source(self):
+        """The unique vertex of in-degree zero (unique for connected bases)."""
+        sources = [v for v in range(self.graph.n) if not self.parents[v]]
+        if len(sources) != 1:
+            raise ValueError(f"expected a unique source, found {sources}")
+        return sources[0]
+
+    def flip(self, edge):
+        u, v = edge
+        if (u, v) not in self.arcs:
+            u, v = v, u
+        if (u, v) not in self.arcs:
+            raise ValueError(f"{edge} is not an edge of the orientation")
+        return Amo(self.graph, (self.arcs - {(u, v)}) | {(v, u)})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Amo)
+            and self.graph == other.graph
+            and self.arcs == other.arcs
+        )
+
+    def __hash__(self):
+        return hash((self.graph, self.arcs))
+
+    def __repr__(self):
+        return f"Amo({sorted(self.arcs)!r})"
+
+
+def is_amo(g, arcs):
+    """Check a candidate arc set: covers the edges, acyclic, no v-configuration."""
+    arcs = set(arcs)
+    if {edge_key(u, v) for u, v in arcs} != g.edges or len(arcs) != len(g.edges):
+        return False
+    if not is_acyclic(g.n, arcs):
+        return False
+    parents = [set() for _ in range(g.n)]
+    for u, v in arcs:
+        parents[v].add(u)
+    for v in range(g.n):
+        for a, b in itertools.combinations(sorted(parents[v]), 2):
+            if not g.has_edge(a, b):
+                return False
+    return True
+
+
+def orient_from_source_sequence(g, seq):
+    """Orient by repeatedly removing the named source.
+
+    Each vertex in ``seq`` orients its still-undirected incident edges
+    outward and leaves the graph.  The sequence is rejected when a removal
+    would give some later vertex two nonadjacent already-removed neighbors,
+    which is exactly when the construction stops describing an AMO.
+    """
+    if sorted(seq) != list(range(g.n)):
+        raise ValueError("sequence must be a permutation of the vertices")
+    removed = [set() for _ in range(g.n)]  # earlier neighbors per vertex
+    arcs = []
+    gone = set()
+    for v in seq:
+        for a, b in itertools.combinations(sorted(removed[v]), 2):
+            if not g.has_edge(a, b):
+                raise ValueError(
+                    f"vertex {v} is not a valid source: earlier neighbors "
+                    f"{a} and {b} are nonadjacent"
+                )
+        gone.add(v)
+        for w in g.adj[v]:
+            if w not in gone:
+                arcs.append((v, w))
+                removed[w].add(v)
+    return Amo(g, arcs)
+
+
+def flip_candidates(a):
+    """Edges whose reversal is again an AMO.
+
+    An arc u->v can be reversed exactly when it is covered:
+    parents(u) == parents(v) - {u}.
+    """
+    out = []
+    for u, v in a.arcs:
+        if a.parents[u] == a.parents[v] - {u}:
+            out.append(edge_key(u, v))
+    return sorted(out)
+
+
+def non_follower_cliques(a, cliques):
+    """Indices of cliques receiving no arc from outside themselves."""
+    out = []
+    for i, t in enumerate(cliques):
+        if all(a.parents[w] <= t for w in t):
+            out.append(i)
+    return frozenset(out)
+
+
+def step(a, rng):
+    """One chain step from the Amo ``a``: propose a uniform edge, flip if legal."""
+    edges = sorted(a.graph.edges)
+    u, v = edges[int(rng.integers(len(edges)))]
+    if (v, u) in a.arcs:
+        u, v = v, u
+    if a.parents[u] == a.parents[v] - {u}:
+        return a.flip((u, v))
+    return a
+
+
+def sample(g, steps, rng, start=None):
+    """Run the chain ``steps`` steps from the canonical PEO orientation."""
+    a = start if start is not None else Amo(g, peo_orientation(g))
+    for _ in range(steps):
+        a = step(a, rng)
+    return a
+
+
+def essential_graph_by_intersection(d, cap=MEC_ENUM_CAP):
+    """Reference semantics: arcs oriented identically across the whole class."""
+    members = mec_of_dag(d, cap=cap)
+    common = frozenset.intersection(*(m.arcs for m in members))
+    lines = {
+        edge_key(u, v)
+        for u, v in skeleton(d).edges
+        if (u, v) not in common and (v, u) not in common
+    }
+    return Pdag(d.n, common, lines)

@@ -10,11 +10,10 @@ import time
 from fractions import Fraction
 from math import comb, cos, pi
 
-from mecmc.amo import build_orientation_space, enumerate_amos
+from mecmc.amo import build_orientation_space
 from mecmc.essential import (
     enumerate_dags,
     enumerate_essential_graphs,
-    essential_graph_by_intersection,
     essential_graph_of_dag,
     is_essential_graph,
     is_strongly_protected,
@@ -48,6 +47,7 @@ from mecmc.posets import (
 )
 
 from conftest import TREE_NAMES
+from oracles import Amo, essential_graph_by_intersection
 
 
 def test_c1_counting_crosscheck():
@@ -119,7 +119,7 @@ def test_c6_structure_invariants(suite, suite_spaces):
     for name, g in suite.items():
         space = suite_spaces[name]
         c_g = len(clique_tree(g).cliques)
-        for i, a in enumerate(space.states):
+        for i, a in enumerate(Amo(g, key) for key in space.keys):
             s = a.source()  # unique source: raises if not exactly one
             dist = {s: 0}
             frontier = [s]
@@ -138,7 +138,7 @@ def test_c6_structure_invariants(suite, suite_spaces):
         g = suite[name]
         space = suite_spaces[name]
         assert space.size == g.n
-        src = {i: space.states[i].source() for i in range(space.size)}
+        src = {i: Amo(g, key).source() for i, key in enumerate(space.keys)}
         assert sorted(src.values()) == list(range(g.n))
         for i in range(space.size):
             assert {src[j] for j in space.adjacency[i]} == set(g.adj[src[i]])

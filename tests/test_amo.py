@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from mecmc.amo import (
-    Amo,
     build_orientation_space,
     count_amos,
     enumerate_amos,
-    flip_candidates,
-    is_amo,
-    non_follower_cliques,
-    orient_from_source_sequence,
     peo_orientation,
 )
 from mecmc.graphs import (
@@ -25,7 +20,19 @@ from mecmc.graphs import (
     star_graph,
 )
 from conftest import TREE_NAMES
+from oracles import (
+    Amo,
+    flip_candidates,
+    is_amo,
+    non_follower_cliques,
+    orient_from_source_sequence,
+)
 from strategies import chordal_graphs
+
+
+def amos(g):
+    """The oracle objects of every AMO of ``g``, in canonical order."""
+    return [Amo(g, key) for key in enumerate_amos(g)]
 
 
 def brute_amos(g):
@@ -86,9 +93,8 @@ def test_orient_from_source_sequence_rejects_non_source():
 def test_complete_graph_bijection_with_permutations():
     for n in (3, 4, 5):
         g = complete_graph(n)
-        amos = enumerate_amos(g)
-        assert len(amos) == factorial(n)
-        keys = {a.key() for a in amos}
+        keys = enumerate_amos(g)
+        assert len(keys) == factorial(n)
         for perm in itertools.permutations(range(n)):
             assert orient_from_source_sequence(g, perm).key() in keys
 
@@ -101,10 +107,11 @@ def test_flip_adjacency_on_k4_is_adjacent_transposition():
         order = sorted(range(4), key=lambda v: len(a.parents[v]))
         return tuple(order)
 
-    for i, a in enumerate(space.states):
+    states = [Amo(g, key) for key in space.keys]
+    for i, a in enumerate(states):
         pa = to_perm(a)
         for j in space.adjacency[i]:
-            pb = to_perm(space.states[j])
+            pb = to_perm(states[j])
             diff = [k for k in range(4) if pa[k] != pb[k]]
             assert len(diff) == 2 and diff[1] == diff[0] + 1
             assert pa[diff[0]] == pb[diff[1]] and pa[diff[1]] == pb[diff[0]]
@@ -119,11 +126,11 @@ def test_enumerate_counts():
 @given(chordal_graphs(min_n=1, max_n=5, connected=True))
 @settings(max_examples=80, deadline=None)
 def test_enumeration_matches_bruteforce(g):
-    amos = enumerate_amos(g)
-    keys = {a.key() for a in amos}
-    assert len(keys) == len(amos)
+    found = enumerate_amos(g)
+    keys = set(found)
+    assert len(keys) == len(found)
     assert keys == {tuple(sorted(b)) for b in brute_amos(g)}
-    assert count_amos(g) == len(amos)
+    assert count_amos(g) == len(found)
 
 
 @given(chordal_graphs(min_n=1, max_n=6))
@@ -148,14 +155,14 @@ def test_count_multiplies_over_components(g):
 
 def test_every_amo_has_unique_source(suite):
     for g in suite.values():
-        for a in enumerate_amos(g):
+        for a in amos(g):
             sources = [v for v in range(g.n) if not a.parents[v]]
             assert sources == [a.source()]
 
 
 def test_edges_orient_away_from_source(suite):
     for g in suite.values():
-        for a in enumerate_amos(g):
+        for a in amos(g):
             s = a.source()
             dist = {s: 0}
             frontier = [s]
@@ -186,7 +193,7 @@ def test_flip_candidates_examples():
 def test_flip_candidates_are_exactly_amo_preserving(suite):
     for name in ("k3", "path4", "two_k3_edge", "two_k4_share3"):
         g = suite[name]
-        for a in enumerate_amos(g):
+        for a in amos(g):
             legal = set(flip_candidates(a))
             for u, v in sorted(g.edges):
                 uu, vv = (u, v) if (u, v) in a.arcs else (v, u)
@@ -213,7 +220,7 @@ def test_trees_give_isomorphic_flip_graph(suite):
         g = suite[name]
         space = build_orientation_space(g)
         assert space.size == g.n
-        src = {i: space.states[i].source() for i in range(space.size)}
+        src = {i: Amo(g, key).source() for i, key in enumerate(space.keys)}
         assert sorted(src.values()) == list(range(g.n))
         for i in range(space.size):
             image = {src[j] for j in space.adjacency[i]}
@@ -223,7 +230,7 @@ def test_trees_give_isomorphic_flip_graph(suite):
 def test_non_follower_cliques_examples():
     k4 = complete_graph(4)
     ct = clique_tree(k4)
-    a = peo_orientation(k4)
+    a = Amo(k4, peo_orientation(k4))
     assert non_follower_cliques(a, ct.cliques) == frozenset({0})
 
     p3 = path_graph(3)
@@ -242,8 +249,7 @@ def test_gluing_face_size():
 
 def test_peo_orientation_is_amo(suite):
     for g in suite.values():
-        a = peo_orientation(g)
-        assert is_amo(g, a.arcs)
+        assert is_amo(g, peo_orientation(g))
 
 
 def test_state_cap_enforced():
@@ -251,13 +257,3 @@ def test_state_cap_enforced():
         build_orientation_space(complete_graph(5), cap=100)
     with pytest.raises(CapExceededError):
         enumerate_amos(complete_graph(5), cap=100)
-
-
-def test_space_json_export():
-    import json
-
-    space = build_orientation_space(path_graph(3))
-    payload = json.loads(space.to_json())
-    assert payload["n"] == 3
-    assert len(payload["states"]) == 3
-    assert payload["adjacency"][0]

@@ -136,6 +136,25 @@ def test_disconnected_input_exits_2(tmp_path, capsys):
     assert "connected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["sample-amo", "diagnose"])
+def test_graph_without_vertices_exits_2(tmp_path, capsys, sub):
+    p = tmp_path / "empty.txt"
+    p.write_text(format_graph(0))
+    assert main([sub, "--input", str(p)]) == 2
+    assert capsys.readouterr().err == "error: input graph has no vertices\n"
+
+
+def test_sample_amo_edgeless_graph_stays_put(tmp_path):
+    p = tmp_path / "one.txt"
+    p.write_text(format_graph(1))
+    payload = run_to_json(
+        ["sample-amo", "--input", str(p), "--steps", "5", "--samples", "30"],
+        tmp_path,
+    )
+    assert payload["histogram"] == {"": 30}
+    assert payload["summary"]["n_states"] == 1
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["sample-amo", "--input", str(tmp_path / "nope.txt")])
     assert rc == 2

@@ -11,7 +11,6 @@ from mecmc.essential import (
     classification_sweep,
     enumerate_dags,
     enumerate_essential_graphs,
-    essential_graph_by_intersection,
     essential_graph_of_dag,
     is_essential_graph,
     is_strongly_protected,
@@ -21,6 +20,7 @@ from mecmc.essential import (
 )
 from mecmc.graphs import Dag, Pdag, edge_key, immoralities, skeleton
 
+from oracles import essential_graph_by_intersection
 from strategies import small_dags
 
 # Distinct essential graphs on n vertices, frozen from the exhaustive

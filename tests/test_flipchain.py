@@ -5,7 +5,7 @@ from math import comb, cos, pi
 import numpy as np
 import pytest
 
-from mecmc.amo import build_orientation_space, enumerate_amos, peo_orientation
+from mecmc.amo import build_orientation_space, peo_orientation
 from mecmc.flipchain import (
     EIGEN_TOL,
     bottleneck_ratio,
@@ -19,10 +19,8 @@ from mecmc.flipchain import (
     move_table,
     projection_chain,
     restriction_gap,
-    sample,
     sample_many,
     spectral_gap,
-    step,
     transition_matrix,
 )
 from mecmc.graphs import (
@@ -32,6 +30,7 @@ from mecmc.graphs import (
     glued_clique_chain,
     path_graph,
 )
+from oracles import Amo, sample, step
 
 MULTI_CLIQUE = (
     "path3",
@@ -98,7 +97,7 @@ def test_bacher_gap_on_complete_graphs():
 def test_step_moves_or_stays():
     g = glued_clique_chain([3, 3], [2])
     rng = np.random.default_rng(5)
-    a = peo_orientation(g)
+    a = Amo(g, peo_orientation(g))
     seen = set()
     for _ in range(500):
         a = step(a, rng)
@@ -109,7 +108,18 @@ def test_step_moves_or_stays():
 def test_sample_zero_steps_is_start():
     g = path_graph(4)
     rng = np.random.default_rng(0)
-    assert sample(g, 0, rng).key() == peo_orientation(g).key()
+    assert sample(g, 0, rng).key() == peo_orientation(g)
+
+
+@pytest.mark.parametrize("name", ["two_k4_share2", "k5"])
+def test_sample_many_replays_the_reference_walk(suite_spaces, name):
+    # one replica draws one edge per step, as the per-object step does, so
+    # both walks see the same proposals and must end on the same state
+    space = suite_spaces[name]
+    for seed in range(20):
+        walk = sample(space.graph, 200, np.random.default_rng(seed))
+        final = sample_many(space, 200, 1, np.random.default_rng(seed))
+        assert space.keys[final[0]] == walk.key()
 
 
 def test_move_table_consistent_with_step():
@@ -147,8 +157,8 @@ def test_sample_many_matches_exact_distribution():
     tm = transition_matrix(space)
     rng = np.random.default_rng(11)
     steps, n_samples = 6, 40000
-    start = space.index[peo_orientation(space.graph).key()]
-    final = sample_many(space, steps, n_samples, rng, start_index=start)
+    start = space.index[peo_orientation(space.graph)]
+    final = sample_many(space, steps, n_samples, rng)
     emp = np.bincount(final, minlength=space.size) / n_samples
     exact = exact_distribution(tm, start, steps)
     assert float(0.5 * np.abs(emp - exact).sum()) < 0.02
@@ -264,17 +274,18 @@ def test_madras_randall_requires_two_cliques():
 def test_restriction_gap_denominators():
     g = glued_clique_chain([4, 4], [2])
     ct = clique_tree(g)
-    by_edges = restriction_gap(ct, g.n, g.num_edges, denominator="edges")
-    by_vertices = restriction_gap(
-        ct, g.n, g.num_edges, denominator="vertices_minus_cliques"
-    )
+    by_edges = restriction_gap(ct, g.num_edges)
+    # the displayed normalization divides by |G| - |T| in place of |E|
+    rescale = g.num_edges / (g.n - ct.num_cliques)
+    by_vertices = by_edges * rescale
     assert by_edges == pytest.approx(2 * (1 - cos(pi / 4)) / 11)
     assert by_vertices == pytest.approx(2 * (1 - cos(pi / 4)) / 4)
-    # assembled with the vertex denominator the bound overshoots the exact
-    # gap on this graph, which is why the edge denominator is the default
+    # the bound is linear in the restriction gap; assembled with the vertex
+    # denominator it overshoots the exact gap on this graph, which is why
+    # the edge denominator is the one used
     gap = spectral_gap(transition_matrix(build_orientation_space(g)))
     mr_edges = madras_randall_bound(g)
-    mr_vertices = madras_randall_bound(g, denominator="vertices_minus_cliques")
+    mr_vertices = mr_edges * rescale
     assert mr_edges <= gap + EIGEN_TOL
     assert mr_vertices > gap
 

@@ -3,19 +3,15 @@
 from hypothesis import given, settings
 
 from conftest import SUITE
-from mecmc.amo import (
-    build_orientation_space,
-    enumerate_amos,
-    flip_candidates,
-    non_follower_cliques,
-)
+from mecmc.amo import build_orientation_space, enumerate_amos
 from mecmc.graphs import maximal_cliques, path_graph
+from oracles import Amo, flip_candidates, non_follower_cliques
 from strategies import chordal_graphs
 
 
 def oracle_space(g):
     """Keys, flip table, adjacency and non-follower sets from Amo objects."""
-    states = enumerate_amos(g)
+    states = [Amo(g, key) for key in enumerate_amos(g)]
     index = {a.key(): i for i, a in enumerate(states)}
     table, adjacency = [], []
     for i, a in enumerate(states):
@@ -52,12 +48,12 @@ def test_random_chordal_spaces_match_oracle(g):
     assert_matches_oracle(g, build_orientation_space(g))
 
 
-def test_states_are_built_on_first_access():
+def test_space_holds_no_state_objects():
     g = SUITE["two_k3_edge"]
     space = build_orientation_space(g)
-    assert "states" not in vars(space)
-    assert [a.key() for a in space.states] == list(space.keys)
-    assert space.states is space.states
+    assert not hasattr(space, "states")
+    assert all(type(key) is tuple for key in space.keys)
+    assert [Amo(g, key).key() for key in space.keys] == list(space.keys)
 
 
 def test_path_beyond_64_vertices():
