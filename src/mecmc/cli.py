@@ -20,12 +20,7 @@ import numpy as np
 
 from . import amo as amo_mod
 from . import flipchain, hjy, posets
-from .essential import (
-    class_members,
-    class_size,
-    enumerate_essential_graphs,
-    essential_graph_of_dag,
-)
+from .essential import class_members, class_size, essential_graph_of_dag
 from .graphs import (
     CapExceededError,
     Pdag,
@@ -88,9 +83,12 @@ def state_cap():
 def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {out}: {e}")
 
 
 def _dump_json(payload):
@@ -319,13 +317,14 @@ def cmd_hjy(args):
             )
         )
     if n <= 4:
-        states = enumerate_essential_graphs(n)
-        kernel = hjy.exact_kernel(states)
+        states, kernel = hjy.exact_kernel(Pdag(n, (), ()))
         m = len(states)
         symmetric = all(
-            kernel[i][j] == kernel[j][i] for i in range(m) for j in range(i)
+            kernel[j].get(i, 0) == w
+            for i, row in enumerate(kernel)
+            for j, w in row.items()
         )
-        doubly = symmetric and all(sum(row) == 1 for row in kernel)
+        doubly = symmetric and all(sum(row.values()) == 1 for row in kernel)
         lines.append(
             json.dumps(
                 {

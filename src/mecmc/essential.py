@@ -35,7 +35,7 @@ def markov_equivalent(d1, d2):
     return skeleton(d1) == skeleton(d2) and immoralities(d1) == immoralities(d2)
 
 
-def mec_of_dag(d, cap=MEC_ENUM_CAP):
+def mec_of_dag(d):
     """All DAGs Markov equivalent to ``d``, by brute-force reorientation.
 
     Enumerates the 2^m orientations of the skeleton and keeps the acyclic
@@ -43,8 +43,8 @@ def mec_of_dag(d, cap=MEC_ENUM_CAP):
     ``class_size`` for counting and ``class_members`` for listing.
     """
     edges = sorted(skeleton(d).edges)
-    if 2 ** len(edges) > cap:
-        raise CapExceededError(f"2^{len(edges)} orientations exceed cap {cap}")
+    if 2 ** len(edges) > MEC_ENUM_CAP:
+        raise CapExceededError(f"2^{len(edges)} orientations exceed cap {MEC_ENUM_CAP}")
     target = immoralities(d)
     out = []
     for bits in itertools.product((0, 1), repeat=len(edges)):
@@ -174,15 +174,17 @@ def class_members(p):
         yield Dag(p.n, arcs)
 
 
-def enumerate_essential_graphs(n, cap=MEC_ENUM_CAP):
+def enumerate_essential_graphs(n):
     """All essential graphs on n vertices, by filtering every Pdag.
 
     Each vertex pair independently carries nothing, a line, or an arc either
-    way; 4^(n choose 2) candidates, so desk scale only.
+    way; 4^(n choose 2) candidates, so desk scale only.  This is the test
+    oracle for ``hjy.exact_kernel``, whose search from the empty graph finds
+    the same states.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    if 4 ** len(pairs) > cap:
-        raise CapExceededError(f"4^{len(pairs)} candidates exceed cap {cap}")
+    if 4 ** len(pairs) > MEC_ENUM_CAP:
+        raise CapExceededError(f"4^{len(pairs)} candidates exceed cap {MEC_ENUM_CAP}")
     out = []
     for choice in itertools.product(range(4), repeat=len(pairs)):
         arcs, lines = [], []

@@ -284,19 +284,25 @@ def maximum_cardinality_search(g, start=0):
     return order
 
 
-def perfect_elimination_ordering(g):
-    """A PEO (first vertex eliminated first) or None if the graph is not chordal."""
-    order = maximum_cardinality_search(g)
-    peo = list(reversed(order))
+def _elimination_conflicts(g, peo):
+    """Yield (v, anchor, w) wherever ``peo`` fails the elimination test: w is
+    a later neighbor of v not adjacent to anchor, v's first later neighbor."""
     pos = {v: i for i, v in enumerate(peo)}
     for v in peo:
         later = [w for w in g.adj[v] if pos[w] > pos[v]]
         if not later:
             continue
-        anchor = min(later, key=lambda w: pos[w])
+        anchor = min(later, key=pos.__getitem__)
         for w in later:
             if w != anchor and not g.has_edge(anchor, w):
-                return None
+                yield v, anchor, w
+
+
+def perfect_elimination_ordering(g):
+    """A PEO (first vertex eliminated first) or None if the graph is not chordal."""
+    peo = list(reversed(maximum_cardinality_search(g)))
+    if next(_elimination_conflicts(g, peo), None) is not None:
+        return None
     return peo
 
 
@@ -311,21 +317,12 @@ def find_chordless_cycle(g):
     at v with nonadjacent later neighbors x, y, a shortest x-y path avoiding
     N[v] closes into a chordless cycle through v.
     """
-    order = maximum_cardinality_search(g)
-    peo = list(reversed(order))
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        anchor = min(later, key=lambda w: pos[w])
-        for w in later:
-            if w == anchor or g.has_edge(anchor, w):
-                continue
-            banned = (set(g.adj[v]) | {v}) - {anchor, w}
-            path = _shortest_path(g, anchor, w, banned)
-            if path is not None:
-                return [v] + path
+    peo = list(reversed(maximum_cardinality_search(g)))
+    for v, anchor, w in _elimination_conflicts(g, peo):
+        banned = (set(g.adj[v]) | {v}) - {anchor, w}
+        path = _shortest_path(g, anchor, w, banned)
+        if path is not None:
+            return [v] + path
     return None
 
 

@@ -208,78 +208,84 @@ def legal_moves(state):
     """All (move, result) pairs with a precondition-satisfying tuple that are
     accepted from ``state``."""
     n = state.n
-    out = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if not state.adjacent(u, v):
-                for kind in ("insert-arc", "insert-line"):
-                    if kind == "insert-line" and u > v:
-                        continue
-                    m = Move(kind, (u, v))
-                    r = apply_move(state, m)
-                    if r is not None:
-                        out.append((m, r))
-    for u, v in sorted(state.arcs):
-        m = Move("delete-arc", (u, v))
-        r = apply_move(state, m)
-        if r is not None:
-            out.append((m, r))
-    for u, v in sorted(state.lines):
-        m = Move("delete-line", (u, v))
-        r = apply_move(state, m)
-        if r is not None:
-            out.append((m, r))
+    moves = []
+    for u, v in itertools.permutations(range(n), 2):
+        if not state.adjacent(u, v):
+            moves.append(Move("insert-arc", (u, v)))
+            if u < v:
+                moves.append(Move("insert-line", (u, v)))
+    moves += [Move("delete-arc", arc) for arc in sorted(state.arcs)]
+    moves += [Move("delete-line", line) for line in sorted(state.lines)]
     for b in range(n):
-        for a, c in itertools.combinations(sorted(state.undirected_neighbors[b]), 2):
-            if not state.adjacent(a, c):
-                m = Move("make-immorality", (a, b, c))
-                r = apply_move(state, m)
-                if r is not None:
-                    out.append((m, r))
-        for a, c in itertools.combinations(sorted(state.parents[b]), 2):
-            if not state.adjacent(a, c):
-                m = Move("remove-immorality", (a, b, c))
-                r = apply_move(state, m)
-                if r is not None:
-                    out.append((m, r))
+        for kind, ends in (
+            ("make-immorality", state.undirected_neighbors[b]),
+            ("remove-immorality", state.parents[b]),
+        ):
+            for a, c in itertools.combinations(sorted(ends), 2):
+                if not state.adjacent(a, c):
+                    moves.append(Move(kind, (a, b, c)))
+    out = []
+    for m in moves:
+        r = apply_move(state, m)
+        if r is not None:
+            out.append((m, r))
     return out
 
 
-def exact_kernel(states):
-    """Exact transition matrix of the chain over the given state list.
+def _breadth_first(start, depth=None):
+    """Breadth-first search over accepted moves from ``start``.
 
-    Entries are rationals; each of the six kinds carries weight 1/6 split
-    uniformly over its tuple domain (ordered pairs for arc kinds, unordered
-    pairs for line kinds, middle-plus-unordered-outer triples for immorality
-    kinds).  Raises when an accepted move leaves the supplied state list.
+    Returns the states in discovery order and, for each state fewer than
+    ``depth`` moves from ``start`` (each state when ``depth`` is None), its
+    accepted moves as (move, index of the result) pairs.
     """
-    n = states[0].n
-    index = {s.key(): i for i, s in enumerate(states)}
-    # an empty tuple domain (pairs at n = 1, triples at n = 2) means
-    # legal_moves never yields that kind, so its 1/6 stays on the diagonal
-    pair_w = Fraction(1, 6 * n * (n - 1)) if n > 1 else None
-    line_w = Fraction(1, 6 * (n * (n - 1) // 2)) if n > 1 else None
-    tri_dom = n * (n - 1) * (n - 2) // 2
-    tri_w = Fraction(1, 6 * tri_dom) if tri_dom else None
-    K = [[Fraction(0) for _ in states] for _ in states]
-    for i, s in enumerate(states):
+    states, levels, moves = [start], [0], []
+    index = {start.key(): 0}
+    while len(moves) < len(states):
+        i = len(moves)
+        if depth is not None and levels[i] == depth:
+            break
+        row = []
+        for m, r in legal_moves(states[i]):
+            j = index.setdefault(r.key(), len(states))
+            if j == len(states):
+                states.append(r)
+                levels.append(levels[i] + 1)
+            row.append((m, j))
+        moves.append(row)
+    return states, moves
+
+
+def exact_kernel(start):
+    """The states reachable from ``start`` and the chain's exact kernel on them.
+
+    One breadth-first search over accepted moves returns ``(states, K)``:
+    ``states`` in discovery order, and ``K[i]`` a dict ``{j: Fraction}``
+    holding only the moves that exist, with the holding probability at
+    ``K[i][i]``.  Each of the six kinds carries weight 1/6 split uniformly
+    over its tuple domain (ordered pairs for arc kinds, unordered pairs for
+    line kinds, middle-plus-unordered-outer triples for immorality kinds).
+    The chain is connected (see ``emptying_sequence``), so from any start
+    the states are all essential graphs on ``start.n`` vertices.
+    """
+    states, moves = _breadth_first(start)
+    n = start.n
+    # tuple domain sizes; an empty domain (pairs at n = 1, triples at n = 2)
+    # means legal_moves never yields that kind, so its 1/6 stays on the diagonal
+    domains = {"arc": n * (n - 1), "line": n * (n - 1) // 2}
+    domains["immorality"] = domains["arc"] * (n - 2) // 2
+    weight = {k: Fraction(1, 6 * d) for k, d in domains.items() if d}
+    K = []
+    for i, accepted in enumerate(moves):
+        row = {}
         stay = Fraction(1)
-        for move, result in legal_moves(s):
-            if "immorality" in move.kind:
-                w = tri_w
-            elif "line" in move.kind:
-                w = line_w
-            else:
-                w = pair_w
-            j = index.get(result.key())
-            if j is None:
-                raise ValueError(f"move {move} leaves the state list")
-            K[i][j] += w
+        for move, j in accepted:
+            w = weight[move.kind.split("-")[1]]
+            row[j] = w
             stay -= w
-        K[i][i] += stay
-    return K
+        row[i] = stay
+        K.append(row)
+    return states, K
 
 
 def hamming_distance(p1, p2):
@@ -361,18 +367,8 @@ def _inverse(move):
 
 
 def reachable_within(state, depth):
-    """Canonical keys of states within ``depth`` accepted moves."""
-    seen = {state.key(): state}
-    frontier = [state]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for _, r in legal_moves(s):
-                if r.key() not in seen:
-                    seen[r.key()] = r
-                    nxt.append(r)
-        frontier = nxt
-    return seen
+    """Canonical key -> state for every state within ``depth`` accepted moves."""
+    return {s.key(): s for s in _breadth_first(state, depth)[0]}
 
 
 # ---------------------------------------------------------------------------

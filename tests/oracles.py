@@ -11,7 +11,7 @@ every member of the class.
 import itertools
 
 from mecmc.amo import peo_orientation
-from mecmc.essential import MEC_ENUM_CAP, mec_of_dag
+from mecmc.essential import mec_of_dag
 from mecmc.graphs import Pdag, edge_key, is_acyclic, skeleton
 
 
@@ -147,9 +147,9 @@ def sample(g, steps, rng, start=None):
     return a
 
 
-def essential_graph_by_intersection(d, cap=MEC_ENUM_CAP):
+def essential_graph_by_intersection(d):
     """Reference semantics: arcs oriented identically across the whole class."""
-    members = mec_of_dag(d, cap=cap)
+    members = mec_of_dag(d)
     common = frozenset.intersection(*(m.arcs for m in members))
     lines = {
         edge_key(u, v)

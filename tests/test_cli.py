@@ -161,6 +161,25 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("sub", ["sample-amo", "diagnose", "ratio", "mec", "hjy"])
+def test_unwritable_out_exits_2(k3_file, tmp_path, capsys, sub, where):
+    dag = tmp_path / "arc.txt"
+    dag.write_text(format_dag(Dag(2, [(0, 1)])))
+    argv = {
+        "sample-amo": ["sample-amo", "--input", k3_file, "--samples", "3"],
+        "diagnose": ["diagnose", "--input", k3_file],
+        "ratio": ["ratio", "--nmax", "3"],
+        "mec": ["mec", "--input", str(dag)],
+        "hjy": ["hjy", "--nmax", "2", "--steps", "2"],
+    }[sub]
+    out = tmp_path if where == "directory" else tmp_path / "nope" / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
 def test_directed_input_where_undirected_expected(tmp_path, capsys):
     p = tmp_path / "dag.txt"
     p.write_text(format_dag(Dag(2, [(0, 1)])))

@@ -272,35 +272,85 @@ def test_every_accepted_result_is_essential(states3):
             assert back == s
 
 
-def kernel_checks(states):
-    K = exact_kernel(states)
+def kernel_checks(n, oracle):
+    states, K = exact_kernel(Pdag(n, [], []))
     m = len(states)
+    assert len(K) == m
+    keys = [s.key() for s in states]
+    assert len(set(keys)) == m
+    assert set(keys) == {s.key() for s in oracle}
     for i in range(m):
-        assert sum(K[i]) == Fraction(1)
+        assert sum(K[i].values()) == Fraction(1)
         assert K[i][i] > 0  # lazy: strictly positive holding probability
-        for j in range(i + 1, m):
-            assert K[i][j] == K[j][i]
+        for j in range(i + 1, m):  # a missing entry reads as 0
+            assert K[i].get(j, 0) == K[j].get(i, 0)
     uniform = [Fraction(1, m)] * m
     pushed = [
-        sum(uniform[i] * K[i][j] for i in range(m)) for j in range(m)
+        sum(uniform[i] * K[i].get(j, 0) for i in range(m)) for j in range(m)
     ]
     assert pushed == uniform
+
+
+def test_exact_kernel_n1():
+    states = enumerate_essential_graphs(1)
+    assert len(states) == 1
+    kernel_checks(1, states)
 
 
 def test_exact_kernel_n2():
     states = enumerate_essential_graphs(2)
     assert len(states) == 2
-    kernel_checks(states)
+    kernel_checks(2, states)
 
 
 def test_exact_kernel_n3(states3):
     assert len(states3) == 11
-    kernel_checks(states3)
+    kernel_checks(3, states3)
 
 
 def test_exact_kernel_n4(states4):
     assert len(states4) == 185
-    kernel_checks(states4)
+    kernel_checks(4, states4)
+
+
+def test_exact_kernel_stores_only_existing_moves():
+    # one entry per accepted move plus the diagonal
+    start = Pdag(3, [], [])
+    states, K = exact_kernel(start)
+    assert states[0] == start
+    index = {s.key(): i for i, s in enumerate(states)}
+    for i, s in enumerate(states):
+        moves = legal_moves(s)
+        assert set(K[i]) == {i} | {index[r.key()] for _, r in moves}
+        assert len(K[i]) == len(moves) + 1
+
+
+def test_exact_kernel_hand_values():
+    # n = 2: only the line is essential, and its kind's 1/6 covers one pair
+    states, K = exact_kernel(Pdag(2, [], []))
+    assert states == [Pdag(2, [], []), Pdag(2, [], [(0, 1)])]
+    assert K == [
+        {0: Fraction(5, 6), 1: Fraction(1, 6)},
+        {0: Fraction(1, 6), 1: Fraction(5, 6)},
+    ]
+    # n = 3: a line insert weighs 1/6 over three pairs; the collider
+    # 0->1<-2 leaves only by remove-immorality, 1/6 over three triples
+    states, K = exact_kernel(Pdag(3, [], []))
+    index = {s.key(): i for i, s in enumerate(states)}
+    singles = [index[Pdag(3, [], [e]).key()] for e in ((0, 1), (0, 2), (1, 2))]
+    assert K[0] == {0: Fraction(5, 6), **dict.fromkeys(singles, Fraction(1, 18))}
+    v = index[Pdag(3, [(0, 1), (2, 1)], []).key()]
+    path = index[Pdag(3, [], [(0, 1), (1, 2)]).key()]
+    assert K[v] == {v: Fraction(17, 18), path: Fraction(1, 18)}
+
+
+def test_exact_kernel_from_any_start(states3):
+    # the chain is connected, so every start finds every state
+    want = {s.key() for s in states3}
+    for start in states3:
+        states, _ = exact_kernel(start)
+        assert states[0] == start
+        assert {s.key() for s in states} == want
 
 
 def test_irreducible_from_empty(states3, states4):
