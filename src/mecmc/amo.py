@@ -9,8 +9,6 @@ graph H_G whose vertices are AMOs and whose edges are single-edge reversals.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .graphs import CapExceededError, edge_key, maximal_cliques, require_chordal
@@ -84,26 +82,6 @@ def _pair_components(pairs):
     return comps
 
 
-def _amo_arcsets(adj):
-    """Yield the arc tuples of every AMO of a connected adjacency dict.
-
-    Recursive source-peeling: each AMO has a unique source, fixing the source
-    forces the closure arcs, and the leftover undirected components can be
-    oriented independently.
-    """
-    if all(not nb for nb in adj.values()):
-        yield ()
-        return
-    for root in sorted(adj):
-        forced, und = _rooted_closure(adj, root)
-        comps = _pair_components(und)
-        for combo in itertools.product(*[list(_amo_arcsets(c)) for c in comps]):
-            out = list(forced)
-            for part in combo:
-                out.extend(part)
-            yield tuple(out)
-
-
 def _amo_count(adj):
     if all(not nb for nb in adj.values()):
         return 1
@@ -127,74 +105,44 @@ def count_amos(g):
     return total
 
 
-def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
-    """Canonical arc tuples (keys) of every AMO of a connected chordal graph,
-    sorted; ``cap`` bounds their number, ``None`` for no bound."""
-    require_chordal(g)
-    if not g.is_connected():
-        raise ValueError("enumerate_amos expects a connected graph")
-    if cap is not None:
-        total = count_amos(g)
-        if total > cap:
-            raise CapExceededError(f"|AMO| = {total} exceeds cap {cap}")
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    return sorted(tuple(sorted(arcs)) for arcs in _amo_arcsets(adj))
+def _peo_arcs(g, peo):
+    """Each edge oriented toward its earlier-eliminated endpoint in ``peo``."""
+    pos = {v: i for i, v in enumerate(peo)}
+    return [(u, v) if pos[u] > pos[v] else (v, u) for u, v in g.edges]
 
 
 def peo_orientation(g):
     """Key of the canonical start state: each edge oriented toward the
     earlier-eliminated endpoint of the MCS perfect elimination ordering."""
-    peo = require_chordal(g)
-    pos = {v: i for i, v in enumerate(peo)}
-    return tuple(sorted((u, v) if pos[u] > pos[v] else (v, u) for u, v in g.edges))
+    return tuple(sorted(_peo_arcs(g, require_chordal(g))))
 
 
-class OrientationSpace:
-    """The flip graph H_G on all AMOs of a connected chordal graph.
+def _flip_search(g, cap):
+    """Every AMO of a connected chordal graph and its flips, from one
+    breadth-first search over covered-edge flips.
 
-    State i, in canonical order, is ``keys[i]`` (its sorted arc tuple) and
-    ``parents[i]`` (one Python-int bitmask per vertex, bit u of entry v set
-    for u->v; no limit on the vertex count).  ``flip_table[i, e]``, an
-    N x |E| int64 array over the sorted edges, is the state reached by
-    proposing edge e: the flip when e is covered, i itself otherwise.
-    ``adjacency[i]`` lists the states one legal flip away; ``nonfollower_counts``
-    gives M(v) in deg(v) = |G| - C(G) + M(v) - 1.  ``index`` maps keys to
-    states.
+    Covered-edge reversals connect every pair of Markov equivalent DAGs
+    (Chickering, UAI 1995), so the search from the PEO orientation reaches
+    every AMO.  A state is one Python-int parent bitmask per vertex, bit u of
+    entry v set for u->v, with no limit on the vertex count.  Returns, in
+    discovery order, the keys, the flip rows over the sorted edges (entry e
+    of row i is the state reached by proposing edge e) and the parent masks.
     """
-
-    def __init__(self, graph, keys, parents, flip_rows, cliques, nonfollower_sets):
-        self.graph = graph
-        self.keys = keys
-        self.parents = parents
-        self.flip_table = np.array(flip_rows, dtype=np.int64)
-        self.adjacency = [
-            sorted(j for j in row if j != i) for i, row in enumerate(flip_rows)
-        ]
-        self.cliques = cliques
-        self.nonfollower_sets = nonfollower_sets
-        self.nonfollower_counts = [len(s) for s in nonfollower_sets]
-        self.index = {key: i for i, key in enumerate(keys)}
-
-    @property
-    def size(self):
-        return len(self.keys)
-
-    def degree(self, i):
-        return len(self.adjacency[i])
-
-
-def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
-    keys = enumerate_amos(g, cap)
-    parents = []
-    for key in keys:
-        par = [0] * g.n
-        for u, v in key:
-            par[v] |= 1 << u
-        parents.append(tuple(par))
-    lookup = {par: i for i, par in enumerate(parents)}
+    peo = require_chordal(g)
+    if not g.is_connected():
+        raise ValueError("input graph must be connected")
+    if cap is not None:
+        total = count_amos(g)
+        if total > cap:
+            raise CapExceededError(f"|AMO| = {total} exceeds cap {cap}")
     edges = sorted(g.edges)
-    flip_rows = []
-    for i, par in enumerate(parents):
+    start = [0] * g.n
+    for u, v in _peo_arcs(g, peo):
+        start[v] |= 1 << u
+    states = [tuple(start)]
+    index = {states[0]: 0}
+    rows = []
+    for i, par in enumerate(states):  # the loop reaches states appended below
         row = []
         for u, v in edges:
             a, b = (u, v) if par[v] >> u & 1 else (v, u)
@@ -202,14 +150,67 @@ def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
             if par[a] == par[b] & ~(1 << a):
                 flipped = list(par)
                 flipped[a], flipped[b] = par[a] | 1 << b, par[a]
-                row.append(lookup[tuple(flipped)])
+                flipped = tuple(flipped)
+                j = index.setdefault(flipped, len(states))
+                if j == len(states):
+                    states.append(flipped)
+                row.append(j)
             else:
                 row.append(i)
-        flip_rows.append(row)
+        rows.append(row)
+    del index  # the search is done: free the lookup before building keys
+    # one shared tuple per arc, tested in sorted order, so keys come out sorted
+    arcs = sorted(edges + [(v, u) for u, v in edges])
+    tests = [(arc, arc[1], 1 << arc[0]) for arc in arcs]
+    keys = [tuple(arc for arc, b, bit in tests if par[b] & bit) for par in states]
+    return keys, rows, states
+
+
+def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
+    """Canonical arc tuples (keys) of every AMO of a connected chordal graph,
+    sorted; ``cap`` bounds their number, ``None`` for no bound."""
+    return sorted(_flip_search(g, cap)[0])
+
+
+class OrientationSpace:
+    """The flip graph H_G on all AMOs of a connected chordal graph.
+
+    State i, in canonical order, is ``keys[i]``, its sorted arc tuple.
+    ``flip_table[i, e]``, an N x |E| int64 array over the sorted edges, is
+    the state reached by proposing edge e: the flip when e is covered, i
+    itself otherwise.  Bit k of ``nonfollower_masks[i]`` is set when clique
+    k receives no arc from outside itself; their number is M(v) in
+    deg(v) = |G| - C(G) + M(v) - 1.
+    """
+
+    def __init__(self, graph, keys, flip_table, cliques, nonfollower_masks):
+        self.graph = graph
+        self.keys = keys
+        self.flip_table = flip_table
+        self.cliques = cliques
+        self.nonfollower_masks = nonfollower_masks
+
+    @property
+    def size(self):
+        return len(self.keys)
+
+    def degree(self, i):
+        """Number of states one legal flip away from state i."""
+        return int(np.count_nonzero(self.flip_table[i] != i))
+
+
+def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
+    keys, rows, parents = _flip_search(g, cap)
+    # canonical order is the sorted keys; the table is relabeled by rank
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    flip_table = rank[np.array(rows, dtype=np.int64)[order]]
     cliques = maximal_cliques(g)
-    members = [(k, t, sum(1 << w for w in t)) for k, t in enumerate(cliques)]
+    members = [(1 << k, t, sum(1 << w for w in t)) for k, t in enumerate(cliques)]
     nonfollowers = [
-        frozenset(k for k, t, mask in members if all(par[w] & ~mask == 0 for w in t))
-        for par in parents
+        sum(bit for bit, t, mask in members if all(par[w] & ~mask == 0 for w in t))
+        for par in (parents[i] for i in order)
     ]
-    return OrientationSpace(g, keys, parents, flip_rows, cliques, nonfollowers)
+    keys = [keys[i] for i in order]
+    return OrientationSpace(g, keys, flip_table, cliques, nonfollowers)

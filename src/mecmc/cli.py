@@ -24,13 +24,12 @@ from .essential import class_members, class_size, essential_graph_of_dag
 from .graphs import (
     CapExceededError,
     Pdag,
+    UndirectedGraph,
     clique_tree,
-    format_dag,
     format_graph,
     format_pdag,
     parse_dag,
-    parse_undirected,
-    require_chordal,
+    parse_graph_text,
 )
 
 MEC_LIST_CAP = 1000
@@ -54,17 +53,10 @@ class RunConfig:
     nmax: int | None = None
     precision: int | None = None
     format: str = "json"
-    out: str | None = None
     rng: str = "numpy-pcg64"
 
     def to_dict(self):
-        # the output path is plumbing, not experiment identity; identical
-        # configs must give byte-identical files wherever they land
-        return {
-            k: v
-            for k, v in asdict(self).items()
-            if v is not None and k != "out"
-        }
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def state_cap():
@@ -109,12 +101,16 @@ def _arc_string(key):
 
 def _orientation_space(path):
     """Flip graph of the connected chordal graph in ``path``, MECMC_STATE_CAP capped."""
-    g = parse_undirected(_read_input(path))
-    if g.n == 0:
+    n, lines, arcs = parse_graph_text(_read_input(path))
+    if arcs:
+        raise ValueError("expected an undirected graph, found arcs")
+    if n == 0:
         raise ValueError("input graph has no vertices")
-    require_chordal(g)
-    if not g.is_connected():
+    # a connected graph has at least n - 1 edges; checking the header first
+    # keeps a huge vertex count from building one set per vertex
+    if n > len(lines) + 1:
         raise ValueError("input graph must be connected")
+    g = UndirectedGraph(n, lines)
     try:
         return amo_mod.build_orientation_space(g, cap=state_cap())
     except CapExceededError as e:
@@ -130,7 +126,6 @@ def cmd_sample_amo(args):
         steps=args.steps,
         samples=args.samples,
         format=args.format,
-        out=args.out,
     )
     rng = np.random.default_rng(args.seed)
     final = flipchain.sample_many(space, args.steps, args.samples, rng)
@@ -166,9 +161,7 @@ def cmd_sample_amo(args):
 def cmd_diagnose(args):
     space = _orientation_space(args.input)
     g = space.graph
-    config = RunConfig(
-        subcommand="diagnose", seed=args.seed, input=args.input, out=args.out
-    )
+    config = RunConfig(subcommand="diagnose", seed=args.seed, input=args.input)
     tm = flipchain.transition_matrix(space)
     gap = flipchain.spectral_gap(tm)
     ct = clique_tree(g)
@@ -243,7 +236,6 @@ def cmd_ratio(args):
             nmax=args.nmax,
             precision=args.precision,
             format=args.format,
-            out=args.out,
         )
         rows = [
             {
@@ -274,12 +266,12 @@ def cmd_ratio(args):
 
 def cmd_mec(args):
     d = parse_dag(_read_input(args.input))
-    config = RunConfig(subcommand="mec", input=args.input, out=args.out)
+    config = RunConfig(subcommand="mec", input=args.input)
     eg = essential_graph_of_dag(d)
     size = class_size(eg)
     members = None
     if size <= MEC_LIST_CAP:
-        members = sorted(format_dag(m) for m in class_members(eg))
+        members = sorted(format_graph(eg.n, (), key) for key in class_members(eg))
     payload = {
         "config": config.to_dict(),
         "essential_graph": format_pdag(eg),
@@ -292,9 +284,7 @@ def cmd_mec(args):
 
 def cmd_hjy(args):
     n = args.nmax
-    config = RunConfig(
-        subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n, out=args.out
-    )
+    config = RunConfig(subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n)
     rng = np.random.default_rng(args.seed)
     state = Pdag(n, set(), set())
     lines = [json.dumps({"config": config.to_dict()}, sort_keys=True)]

@@ -159,9 +159,10 @@ def class_size(p):
 
 
 def class_members(p):
-    """Yield every DAG in the class of the essential graph ``p``: its arcs
-    plus one AMO of each undirected chain component.  Yields
-    ``class_size(p)`` DAGs, so callers check that size first."""
+    """Yield the sorted arc tuple (key) of every DAG in the class of the
+    essential graph ``p``: its arcs plus one AMO of each undirected chain
+    component.  Yields ``class_size(p)`` keys, so callers check that size
+    first."""
     comps, choices = [], []
     for comp, sub in _chain_components(p):
         comps.append(comp)
@@ -171,7 +172,7 @@ def class_members(p):
         arcs = list(p.arcs)
         for comp, key in zip(comps, combo):
             arcs.extend((comp[u], comp[v]) for u, v in key)
-        yield Dag(p.n, arcs)
+        yield tuple(sorted(arcs))
 
 
 def enumerate_essential_graphs(n):

@@ -12,6 +12,7 @@ bound on the spectral gap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,12 +34,12 @@ class TransitionMatrix:
 
     ``flip_table[i, e]`` is the state reached from i by proposing edge e, so
     P[i, j] = 1/|E| for each edge leading to j != i and P[i, i] = 1 - deg/|E|.
-    The dense ``matrix`` is built on first access, under ``cap`` states.
+    The dense ``matrix`` is built on first access, under
+    ``DENSE_SPECTRUM_CAP`` states.
     """
 
-    def __init__(self, flip_table, cap=DENSE_SPECTRUM_CAP):
+    def __init__(self, flip_table):
         self.flip_table = np.asarray(flip_table, dtype=np.int64)
-        self.cap = cap
 
     @property
     def dimension(self):
@@ -65,9 +66,9 @@ class TransitionMatrix:
     @cached_property
     def matrix(self):
         N = self.dimension
-        if self.cap is not None and N > self.cap:
+        if N > DENSE_SPECTRUM_CAP:
             raise CapExceededError(
-                f"{N} states exceed dense spectrum cap {self.cap}"
+                f"{N} states exceed dense spectrum cap {DENSE_SPECTRUM_CAP}"
             )
         if self.num_edges == 0:
             # edgeless graph: one empty orientation, the chain sits still
@@ -85,13 +86,12 @@ class TransitionMatrix:
         return bool(np.all(back == np.arange(self.dimension)[:, None]))
 
 
-def transition_matrix(space, cap=DENSE_SPECTRUM_CAP):
+def transition_matrix(space):
     """Exact transition matrix of the lazy edge-flip chain on ``space``.
 
-    ``cap`` bounds the states of the dense matrix, which is built only when
-    ``.matrix`` is first read.
+    The dense matrix is built only when ``.matrix`` is first read.
     """
-    return TransitionMatrix(space.flip_table, cap=cap)
+    return TransitionMatrix(space.flip_table)
 
 
 def _lambda2_dense(tm):
@@ -138,7 +138,7 @@ def move_table(space):
 def sample_many(space, steps, count, rng):
     """Vectorized replicas of the chain from the canonical PEO orientation;
     returns final state indices."""
-    start = space.index[amo_mod.peo_orientation(space.graph)]
+    start = bisect_left(space.keys, amo_mod.peo_orientation(space.graph))
     x = np.full(count, start, dtype=np.int64)
     m = space.graph.num_edges
     if m == 0:
@@ -178,15 +178,19 @@ def bottleneck_ratio(space, subset):
     """Exact conductance of a subset under the uniform stationary law.
 
     Phi(R) = Q(R, R^c) / pi(R) with Q summed over flip edges leaving R; the
-    companion mixing-time bound is t_mix(1/4) >= 1/(4 Phi).
+    companion mixing-time bound is t_mix(1/4) >= 1/(4 Phi).  A proposal that
+    stays put lands inside R, so the table entries outside R are exactly the
+    crossing edges.
     """
-    R = set(subset)
+    R = sorted(set(subset))
     if not R or len(R) >= space.size:
         raise ValueError("subset must be a proper nonempty part of the space")
     if 2 * len(R) > space.size:
         raise ValueError("subset must have stationary mass at most 1/2")
     m = space.graph.num_edges
-    crossing = sum(1 for i in R for j in space.adjacency[i] if j not in R)
+    inside = np.zeros(space.size, dtype=bool)
+    inside[R] = True
+    crossing = int(np.count_nonzero(~inside[space.flip_table[R]]))
     phi = Fraction(crossing, len(R) * m)
     if phi == 0:
         raise ValueError("subset is disconnected from its complement")
@@ -206,11 +210,7 @@ def clique_cut_bottlenecks(space):
     """
     out = {}
     for i in range(len(space.cliques)):
-        cut = [
-            v
-            for v, s in enumerate(space.nonfollower_sets)
-            if s == frozenset({i})
-        ]
+        cut = [v for v, mask in enumerate(space.nonfollower_masks) if mask == 1 << i]
         if not cut or 2 * len(cut) > space.size:
             continue
         out[i] = bottleneck_ratio(space, cut)
@@ -268,7 +268,8 @@ class DecompositionStats:
     ``clique_weights[i]`` is |t_i|! |D_i|, the size of the piece H_{t_i} x D_i;
     ``z`` is their sum; ``o_g`` = z / min over tree edges of |t_j & t_k|! |D_{j,k}|.
     ``theta`` is the clique-tree degree; the Madras-Randall framework itself
-    would use the maximum overlap, max ``space.nonfollower_counts``.
+    would use the maximum overlap, the most bits set in
+    ``space.nonfollower_masks``.
     """
 
     o_g: Fraction

@@ -574,20 +574,23 @@ def parse_graph_text(text):
         if not stripped:
             continue
         parts = stripped.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValueError(f"line {lineno}: expected header 'n <count>'")
-            n = int(parts[1])
-            if n < 0:
-                raise ValueError(f"line {lineno}: negative vertex count")
-            continue
-        if len(parts) != 3 or parts[1] not in ("--", "->"):
-            raise ValueError(f"line {lineno}: expected 'u -- v' or 'u -> v'")
-        u, v = int(parts[0]), int(parts[2])
-        if parts[1] == "--":
-            lines.add(edge_key(u, v))
-        else:
-            arcs.add((u, v))
+        try:
+            if n is None:
+                if len(parts) != 2 or parts[0] != "n":
+                    raise ValueError("expected header 'n <count>'")
+                n = int(parts[1])
+                if n < 0:
+                    raise ValueError("negative vertex count")
+                continue
+            if len(parts) != 3 or parts[1] not in ("--", "->"):
+                raise ValueError("expected 'u -- v' or 'u -> v'")
+            u, v = int(parts[0]), int(parts[2])
+            if parts[1] == "--":
+                lines.add(edge_key(u, v))
+            else:
+                arcs.add((u, v))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     if n is None:
         raise ValueError("missing 'n <count>' header")
     return n, lines, arcs

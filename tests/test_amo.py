@@ -110,7 +110,7 @@ def test_flip_adjacency_on_k4_is_adjacent_transposition():
     states = [Amo(g, key) for key in space.keys]
     for i, a in enumerate(states):
         pa = to_perm(a)
-        for j in space.adjacency[i]:
+        for j in {j for j in space.flip_table[i] if j != i}:
             pb = to_perm(states[j])
             diff = [k for k in range(4) if pa[k] != pb[k]]
             assert len(diff) == 2 and diff[1] == diff[0] + 1
@@ -131,6 +131,24 @@ def test_enumeration_matches_bruteforce(g):
     assert len(keys) == len(found)
     assert keys == {tuple(sorted(b)) for b in brute_amos(g)}
     assert count_amos(g) == len(found)
+
+
+def assert_search_finds_every_amo(g):
+    keys = enumerate_amos(g)
+    assert len(keys) == count_amos(g)
+    assert keys == sorted(set(keys))
+    assert all(is_amo(g, key) for key in keys)
+
+
+def test_search_finds_every_amo_on_suite(suite):
+    for g in suite.values():
+        assert_search_finds_every_amo(g)
+
+
+@given(chordal_graphs(min_n=1, max_n=7, connected=True))
+@settings(max_examples=60, deadline=None)
+def test_search_finds_every_amo(g):
+    assert_search_finds_every_amo(g)
 
 
 @given(chordal_graphs(min_n=1, max_n=6))
@@ -209,7 +227,7 @@ def test_degree_formula(suite, suite_spaces):
         c_g = len(clique_tree(g).cliques)
         degs = []
         for i in range(space.size):
-            m_v = space.nonfollower_counts[i]
+            m_v = space.nonfollower_masks[i].bit_count()
             assert space.degree(i) == g.n - c_g + m_v - 1
             degs.append(space.degree(i))
         assert min(degs) == g.n - c_g
@@ -223,7 +241,7 @@ def test_trees_give_isomorphic_flip_graph(suite):
         src = {i: Amo(g, key).source() for i, key in enumerate(space.keys)}
         assert sorted(src.values()) == list(range(g.n))
         for i in range(space.size):
-            image = {src[j] for j in space.adjacency[i]}
+            image = {src[j] for j in space.flip_table[i] if j != i}
             assert image == set(g.adj[src[i]])
 
 
@@ -242,7 +260,7 @@ def test_non_follower_cliques_examples():
 
 def test_gluing_face_size():
     space = build_orientation_space(glued_clique_chain([4, 4], [2]))
-    face = [s for s in space.nonfollower_sets if len(s) == 2]
+    face = [s for s in space.nonfollower_masks if s.bit_count() == 2]
     assert space.size == 88
     assert len(face) == 8
 

@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -142,6 +141,17 @@ def test_graph_without_vertices_exits_2(tmp_path, capsys, sub):
     p.write_text(format_graph(0))
     assert main([sub, "--input", str(p)]) == 2
     assert capsys.readouterr().err == "error: input graph has no vertices\n"
+
+
+@pytest.mark.parametrize("n", [3_000_000, 99_999_999_999])
+@pytest.mark.parametrize("sub", ["sample-amo", "diagnose"])
+def test_vertex_count_beyond_the_edges_exits_2(tmp_path, capsys, sub, n):
+    # n vertices need n - 1 edges to be connected, so the header alone is
+    # rejected before one set per vertex is built
+    p = tmp_path / "big.txt"
+    p.write_text(f"n {n}\n0 -- 1\n")
+    assert main([sub, "--input", str(p)]) == 2
+    assert capsys.readouterr().err == "error: input graph must be connected\n"
 
 
 def test_sample_amo_edgeless_graph_stays_put(tmp_path):
@@ -487,8 +497,7 @@ def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatc
     assert payload["class_size"] == "1" and payload["members"] == [k55]
     assert capsys.readouterr().err == ""
     # the dense spectrum cap of diagnose is fixed as well
-    capped = functools.partial(flipchain.transition_matrix, cap=5)
-    monkeypatch.setattr(flipchain, "transition_matrix", capped)
+    monkeypatch.setattr(flipchain, "DENSE_SPECTRUM_CAP", 5)
     p = tmp_path / "k3.txt"
     p.write_text(format_undirected(complete_graph(3)))
     assert main(["diagnose", "--input", str(p)]) == 3

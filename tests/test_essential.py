@@ -214,7 +214,7 @@ def test_class_members_equal_brute_force_class(d):
     eg = essential_graph_of_dag(d)
     members = list(class_members(eg))
     assert len(members) == class_size(eg)
-    assert {m.arcs for m in members} == {m.arcs for m in mec_of_dag(d)}
+    assert set(members) == {tuple(sorted(m.arcs)) for m in mec_of_dag(d)}
 
 
 def test_class_members_of_a_large_skeleton():
@@ -222,5 +222,5 @@ def test_class_members_of_a_large_skeleton():
     tree = Dag(30, [((v - 1) // 2, v) for v in range(1, 30)])
     members = list(class_members(essential_graph_of_dag(tree)))
     assert len(members) == 30
-    assert len({m.arcs for m in members}) == 30
-    assert tree.arcs in {m.arcs for m in members}
+    assert len(set(members)) == 30
+    assert tuple(sorted(tree.arcs)) in members

@@ -30,7 +30,7 @@ from mecmc.graphs import (
     glued_clique_chain,
     path_graph,
 )
-from oracles import Amo, sample, step
+from oracles import Amo, flip_candidates, sample, step
 
 MULTI_CLIQUE = (
     "path3",
@@ -133,7 +133,8 @@ def test_move_table_consistent_with_step():
             # proposals are involutions: same edge undoes the flip
             assert table[j, e] == i
         moved = {int(j) for j in table[i] if j != i}
-        assert moved == set(space.adjacency[i])
+        a = Amo(space.graph, space.keys[i])
+        assert moved == {space.keys.index(a.flip(e).key()) for e in flip_candidates(a)}
 
 
 # sha256 of the int64 final states of sample_many(space, 40, 500,
@@ -157,7 +158,7 @@ def test_sample_many_matches_exact_distribution():
     tm = transition_matrix(space)
     rng = np.random.default_rng(11)
     steps, n_samples = 6, 40000
-    start = space.index[peo_orientation(space.graph)]
+    start = space.keys.index(peo_orientation(space.graph))
     final = sample_many(space, steps, n_samples, rng)
     emp = np.bincount(final, minlength=space.size) / n_samples
     exact = exact_distribution(tm, start, steps)
@@ -290,17 +291,25 @@ def test_restriction_gap_denominators():
     assert mr_vertices > gap
 
 
+def test_bottleneck_ratio_equals_table_loop(suite_spaces):
+    for space in suite_spaces.values():
+        m = space.graph.num_edges
+        for i, rep in clique_cut_bottlenecks(space).items():
+            masks = enumerate(space.nonfollower_masks)
+            cut = {v for v, mask in masks if mask == 1 << i}
+            crossing = sum(1 for v in cut for w in space.flip_table[v] if w not in cut)
+            assert rep.boundary_edges == crossing
+            assert rep.phi == Fraction(crossing, len(cut) * m)
+            assert rep.subset_size == len(cut)
+
+
 def test_slow_equilibration_across_gluing_face():
     # two K_4 sharing 2 vertices: starting inside one clique's half, mass
     # crosses to the mirror half slowly
     g = glued_clique_chain([4, 4], [2])
     space = build_orientation_space(g)
     tm = transition_matrix(space)
-    half = [
-        i
-        for i, s in enumerate(space.nonfollower_sets)
-        if s == frozenset({0})
-    ]
+    half = [i for i, mask in enumerate(space.nonfollower_masks) if mask == 1 << 0]
     start = half[0]
     mu = exact_distribution(tm, start, 20)
     assert mu[half].sum() > 0.75

@@ -21,6 +21,7 @@ from mecmc.graphs import (
     is_chordal,
     maximal_cliques,
     parse_dag,
+    parse_graph_text,
     parse_pdag,
     parse_undirected,
     path_graph,
@@ -312,6 +313,20 @@ def test_parse_errors():
         parse_dag("n 3\n0 -- 1\n")
     with pytest.raises(ValueError):
         parse_undirected("n 3\n0 -> 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("n x\n", 1),
+        ("n 3\n0 -> x\n", 2),
+        ("# comment\nn 3\n\n1 -- x\n", 4),
+        ("n 3\n1 -- 1\n", 2),
+    ],
+)
+def test_parse_errors_name_the_line(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        parse_graph_text(text)
 
 
 @given(small_dags())

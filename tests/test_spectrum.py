@@ -25,12 +25,13 @@ from strategies import chordal_graphs
 
 
 def loop_matrix(space):
-    """The dense chain matrix filled entry by entry from the adjacency lists."""
+    """The dense chain matrix filled entry by entry from the flip table."""
     N, m = space.size, space.graph.num_edges
     if m == 0:
         return np.eye(N)
     P = np.zeros((N, N))
-    for i, nbrs in enumerate(space.adjacency):
+    for i, row in enumerate(space.flip_table.tolist()):
+        nbrs = [j for j in row if j != i]
         for j in nbrs:
             P[i, j] = 1.0 / m
         P[i, i] = 1.0 - len(nbrs) / m
