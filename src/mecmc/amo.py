@@ -9,100 +9,89 @@ graph H_G whose vertices are AMOs and whose edges are single-edge reversals.
 
 from __future__ import annotations
 
+from math import factorial, prod
+
 import numpy as np
 
-from .graphs import CapExceededError, edge_key, maximal_cliques, require_chordal
+from .graphs import CapExceededError, maximal_cliques, require_chordal
 
 DEFAULT_STATE_CAP = 5_000_000
 
 
-def _rooted_closure(adj, root):
-    """Orient edges away from ``root`` and close under the forcing rules.
+def _rooted_components(adj, vertices, root):
+    """Vertex sets of the line components left when the connected chordal
+    graph ``adj`` induced on ``vertices`` is oriented with ``root`` as its
+    only source (He, Jia & Yu, JMLR 2015).
 
-    Rule 1: x->y with line y-z and x, z nonadjacent forces y->z (otherwise a
-    collider with nonadjacent parents appears at y).  Rule 2: x->y->z with
-    line x-z forces x->z (otherwise a directed cycle).  Returns the forced
-    arcs and the remaining undirected pairs.
+    Every edge between breadth-first layers from ``root`` points away from
+    ``root``.  Inside a layer, x->y with line y-z and x, z nonadjacent forces
+    y->z (otherwise a collider with nonadjacent parents appears at y); a
+    worklist propagates the rule.  The components are induced subgraphs.
     """
-    arcs = {}
-    und = set()
-    for v, nb in adj.items():
-        for w in nb:
-            if v < w:
-                und.add((v, w))
-    for w in adj[root]:
-        und.discard(edge_key(root, w))
-        arcs[edge_key(root, w)] = (root, w)
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(und):
-            y, z = pair
-            forced = None
-            for x, h in list(arcs.values()):
-                if h == y and z not in adj[x] and x != z:
-                    forced = (y, z)
-                elif h == z and y not in adj[x] and x != y:
-                    forced = (z, y)
-                elif h == y and x == z:
-                    forced = (z, y)  # rule 2: z->y plus line y-z would cycle
-                elif h == z and x == y:
-                    forced = (y, z)
-                if forced:
-                    break
-            if forced:
-                und.discard(pair)
-                arcs[pair] = forced
-                changed = True
-    return list(arcs.values()), und
-
-
-def _pair_components(pairs):
-    """Connected components of an edge set, as adjacency dicts."""
-    adj = {}
-    for u, v in pairs:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen = set()
-    comps = []
-    for s in sorted(adj):
-        if s in seen:
+    # breadth-first layers; a layer is complete before its vertices are
+    # scanned, so each scan sees its parents and its lines inside the layer
+    depth = {root: 0}
+    frontier = [root]
+    lines, work = {}, []
+    while frontier:
+        nxt = []
+        for v in frontier:
+            d = depth[v]
+            for w in adj[v]:
+                if w not in vertices:
+                    continue
+                dw = depth.get(w)
+                if dw is None:
+                    depth[w] = d + 1
+                    nxt.append(w)
+                elif dw == d:
+                    lines.setdefault(v, set()).add(w)
+                elif dw < d:
+                    work.append((w, v))
+        frontier = nxt
+    while work:
+        x, y = work.pop()
+        for z in [z for z in lines.get(y, ()) if z not in adj[x]]:
+            lines[y].discard(z)
+            lines[z].discard(y)
+            work.append((y, z))
+    comps, seen = [], set()
+    for s in lines:
+        if s in seen or not lines[s]:
             continue
-        comp = {}
-        stack = [s]
-        seen.add(s)
+        comp, stack = {s}, [s]
         while stack:
-            x = stack.pop()
-            comp[x] = adj[x]
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(comp)
+            for w in lines[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
     return comps
 
 
-def _amo_count(adj):
-    if all(not nb for nb in adj.values()):
-        return 1
-    total = 0
-    for root in sorted(adj):
-        forced, und = _rooted_closure(adj, root)
-        prod = 1
-        for comp in _pair_components(und):
-            prod *= _amo_count(comp)
-        total += prod
-    return total
-
-
 def count_amos(g):
-    """Number of AMOs of a chordal graph (product over connected components)."""
+    """Number of AMOs of a chordal graph: per connected component, the sum
+    over roots of the product of the counts of the rooted line components,
+    memoized by vertex set.  A clique K has |K|! AMOs and a tree T has |T|,
+    one per root."""
     require_chordal(g)
-    total = 1
-    for comp in g.connected_components():
-        adj = {v: set(g.adj[v]) for v in comp}
-        total *= _amo_count(adj)
-    return total
+    memo = {}
+
+    def count(vertices):
+        k = len(vertices)
+        degrees = sum(len(g.adj[v] & vertices) for v in vertices)
+        if degrees == k * (k - 1):
+            return factorial(k)
+        if degrees == 2 * (k - 1):
+            return k
+        if vertices not in memo:
+            memo[vertices] = sum(
+                prod(map(count, _rooted_components(g.adj, vertices, root)))
+                for root in vertices
+            )
+        return memo[vertices]
+
+    return prod(count(frozenset(comp)) for comp in g.connected_components())
 
 
 def _peo_arcs(g, peo):

@@ -152,10 +152,7 @@ def _chain_components(p):
 def class_size(p):
     """Number of DAGs in the class of an essential graph: the product over
     undirected components of their AMO counts."""
-    total = 1
-    for _, sub in _chain_components(p):
-        total *= amo_mod.count_amos(sub)
-    return total
+    return amo_mod.count_amos(p.undirected_part())
 
 
 def class_members(p):

@@ -7,6 +7,7 @@ construction so they can be hashed and used as chain states.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -261,26 +262,28 @@ def immoralities(d):
     return frozenset(out)
 
 
-def maximum_cardinality_search(g, start=0):
-    """MCS visit order; its reverse is a perfect elimination ordering iff chordal."""
-    if g.n == 0:
-        return []
+def maximum_cardinality_search(g):
+    """MCS visit order; its reverse is a perfect elimination ordering iff chordal.
+
+    Each step visits an unvisited vertex with the most visited neighbors, the
+    smallest on ties, from a heap of (-weight, vertex) entries.  Weights only
+    grow, so a vertex's newest entry pops before its stale ones, which are
+    skipped as visited.
+    """
     weight = [0] * g.n
     visited = [False] * g.n
+    heap = [(0, v) for v in range(g.n)]  # sorted, so already a heap
     order = []
-    current = start
-    for _ in range(g.n):
-        if current is None:
-            best = max(
-                (w, -v) for v, w in enumerate(weight) if not visited[v]
-            )
-            current = -best[1]
-        visited[current] = True
-        order.append(current)
-        for w in g.adj[current]:
+    while heap:
+        _, v = heapq.heappop(heap)
+        if visited[v]:
+            continue
+        visited[v] = True
+        order.append(v)
+        for w in g.adj[v]:
             if not visited[w]:
                 weight[w] += 1
-        current = None
+                heapq.heappush(heap, (-weight[w], w))
     return order
 
 

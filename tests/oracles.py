@@ -5,14 +5,17 @@ flip graph as ``OrientationSpace``'s arrays.  The routines here do the same
 work one Python object at a time, in the most direct form: an ``Amo`` built
 from a key, the covered-edge and non-follower tests on parent sets, the
 chain step on one ``Amo``, and the essential graph as the arcs shared by
-every member of the class.
+every member of the class.  Two whole-graph routines are kept in their
+earlier form: the AMO count as the He-Jia-Yu root-peeling recursion that
+re-solves every rooted subproblem, and maximum cardinality search as a scan
+of every unvisited vertex per step.
 """
 
 import itertools
 
 from mecmc.amo import peo_orientation
 from mecmc.essential import mec_of_dag
-from mecmc.graphs import Pdag, edge_key, is_acyclic, skeleton
+from mecmc.graphs import Pdag, edge_key, is_acyclic, require_chordal, skeleton
 
 
 class Amo:
@@ -157,3 +160,115 @@ def essential_graph_by_intersection(d):
         if (u, v) not in common and (v, u) not in common
     }
     return Pdag(d.n, common, lines)
+
+
+def _rooted_closure(adj, root):
+    """Orient edges away from ``root`` and close under the forcing rules.
+
+    Rule 1: x->y with line y-z and x, z nonadjacent forces y->z (otherwise a
+    collider with nonadjacent parents appears at y).  Rule 2: x->y->z with
+    line x-z forces x->z (otherwise a directed cycle).  Returns the forced
+    arcs and the remaining undirected pairs.
+    """
+    arcs = {}
+    und = set()
+    for v, nb in adj.items():
+        for w in nb:
+            if v < w:
+                und.add((v, w))
+    for w in adj[root]:
+        und.discard(edge_key(root, w))
+        arcs[edge_key(root, w)] = (root, w)
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(und):
+            y, z = pair
+            forced = None
+            for x, h in list(arcs.values()):
+                if h == y and z not in adj[x] and x != z:
+                    forced = (y, z)
+                elif h == z and y not in adj[x] and x != y:
+                    forced = (z, y)
+                elif h == y and x == z:
+                    forced = (z, y)  # rule 2: z->y plus line y-z would cycle
+                elif h == z and x == y:
+                    forced = (y, z)
+                if forced:
+                    break
+            if forced:
+                und.discard(pair)
+                arcs[pair] = forced
+                changed = True
+    return list(arcs.values()), und
+
+
+def _pair_components(pairs):
+    """Connected components of an edge set, as adjacency dicts."""
+    adj = {}
+    for u, v in pairs:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    seen = set()
+    comps = []
+    for s in sorted(adj):
+        if s in seen:
+            continue
+        comp = {}
+        stack = [s]
+        seen.add(s)
+        while stack:
+            x = stack.pop()
+            comp[x] = adj[x]
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def _amo_count(adj):
+    if all(not nb for nb in adj.values()):
+        return 1
+    total = 0
+    for root in sorted(adj):
+        forced, und = _rooted_closure(adj, root)
+        prod = 1
+        for comp in _pair_components(und):
+            prod *= _amo_count(comp)
+        total += prod
+    return total
+
+
+def count_amos_by_recursion(g):
+    """Number of AMOs of a chordal graph (product over connected components)."""
+    require_chordal(g)
+    total = 1
+    for comp in g.connected_components():
+        adj = {v: set(g.adj[v]) for v in comp}
+        total *= _amo_count(adj)
+    return total
+
+
+def maximum_cardinality_search_by_scan(g, start=0):
+    """MCS visit order; its reverse is a perfect elimination ordering iff chordal."""
+    if g.n == 0:
+        return []
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order = []
+    current = start
+    for _ in range(g.n):
+        if current is None:
+            best = max(
+                (w, -v) for v, w in enumerate(weight) if not visited[v]
+            )
+            current = -best[1]
+        visited[current] = True
+        order.append(current)
+        for w in g.adj[current]:
+            if not visited[w]:
+                weight[w] += 1
+        current = None
+    return order

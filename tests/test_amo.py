@@ -22,6 +22,7 @@ from mecmc.graphs import (
 from conftest import TREE_NAMES
 from oracles import (
     Amo,
+    count_amos_by_recursion,
     flip_candidates,
     is_amo,
     non_follower_cliques,
@@ -149,6 +150,38 @@ def test_search_finds_every_amo_on_suite(suite):
 @settings(max_examples=60, deadline=None)
 def test_search_finds_every_amo(g):
     assert_search_finds_every_amo(g)
+
+
+@given(chordal_graphs(min_n=1, max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_count_matches_recursion(g):
+    assert count_amos(g) == count_amos_by_recursion(g)
+
+
+def test_count_matches_recursion_on_suite(suite):
+    for g in suite.values():
+        assert count_amos(g) == count_amos_by_recursion(g)
+
+
+# the smallest graphs found where a count needs the forcing rule to chain
+# inside a layer, and needs a forced line dropped from both endpoints
+@pytest.mark.parametrize(
+    "edges, count",
+    [
+        ([(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 5)], 18),
+        ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)], 40),
+    ],
+)
+def test_count_follows_forcing_inside_a_layer(edges, count):
+    g = UndirectedGraph(6, edges)
+    assert count_amos(g) == count_amos_by_recursion(g) == count
+
+
+def test_count_exact_values():
+    assert count_amos(complete_graph(20)) == factorial(20)
+    assert count_amos(path_graph(1000)) == 1000
+    glued = glued_clique_chain([6, 6], [4])
+    assert count_amos(glued) == count_amos_by_recursion(glued) == 2784
 
 
 @given(chordal_graphs(min_n=1, max_n=6))

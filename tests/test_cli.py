@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -210,6 +211,19 @@ def test_state_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["diagnose", "--input", str(p)]) == 2
 
 
+@pytest.mark.parametrize("n", [11, 20])
+@pytest.mark.parametrize("sub", ["sample-amo", "diagnose"])
+def test_clique_beyond_the_cap_exits_3(tmp_path, capsys, monkeypatch, sub, n):
+    # the count behind the cap check is n! read off directly, not a search
+    monkeypatch.delenv("MECMC_STATE_CAP", raising=False)
+    p = tmp_path / "clique.txt"
+    p.write_text(format_undirected(complete_graph(n)))
+    assert main([sub, "--input", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert f"|AMO| = {math.factorial(n)} exceeds cap 5000000\n" in err
+    assert "hint: raise MECMC_STATE_CAP\n" in err
+
+
 def test_diagnose_slow_mixing_instance(tmp_path):
     p = tmp_path / "glued.txt"
     p.write_text(format_undirected(glued_clique_chain([4, 4], [2])))
@@ -395,6 +409,14 @@ def test_mec_full_k3(tmp_path):
     assert len(payload["members"]) == 6
 
 
+def test_mec_total_order_counts_without_listing(tmp_path):
+    # every DAG on the complete skeleton is in the class of the total order
+    p = tmp_path / "order.txt"
+    p.write_text(format_dag(Dag(10, itertools.combinations(range(10), 2))))
+    payload = run_to_json(["mec", "--input", str(p)], tmp_path)
+    assert payload["class_size"] == "3628800" and payload["members"] is None
+
+
 def test_hjy_run_log(tmp_path):
     out = tmp_path / "run.jsonl"
     rc = main(
@@ -432,6 +454,14 @@ def test_hjy_steps_zero_and_small_n(tmp_path):
         "symmetric": True,
         "uniform_stationary": True,
     }
+
+
+def test_hjy_on_many_vertices(tmp_path):
+    # every step checks chordality of a 20,000-vertex graph
+    out = tmp_path / "run.jsonl"
+    assert main(["hjy", "--nmax", "20000", "--steps", "3", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("step") for r in records] == [None, 0, 1, 2, 3]
 
 
 # sha256 of the `mecmc hjy` output, recorded while apply_move still repaired

@@ -20,6 +20,7 @@ from mecmc.graphs import (
     is_acyclic,
     is_chordal,
     maximal_cliques,
+    maximum_cardinality_search,
     parse_dag,
     parse_graph_text,
     parse_pdag,
@@ -30,6 +31,7 @@ from mecmc.graphs import (
     skeleton,
     star_graph,
 )
+from oracles import maximum_cardinality_search_by_scan
 from strategies import chordal_graphs, small_dags, small_graphs
 
 
@@ -141,6 +143,12 @@ def test_chordality_exhaustive_up_to_5():
 @settings(max_examples=200, deadline=None)
 def test_chordality_matches_brute(g):
     assert is_chordal(g) == brute_chordal(g)
+
+
+@given(small_graphs(max_n=8))
+@settings(max_examples=200, deadline=None)
+def test_search_order_matches_scan(g):
+    assert maximum_cardinality_search(g) == maximum_cardinality_search_by_scan(g)
 
 
 @given(small_graphs(max_n=7))
