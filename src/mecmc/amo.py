@@ -107,19 +107,18 @@ def peo_orientation(g):
 
 
 def _flip_search(g, cap):
-    """Every AMO of a connected chordal graph and its flips, from one
-    breadth-first search over covered-edge flips.
+    """Every AMO of a chordal graph and its flips, from one breadth-first
+    search over covered-edge flips.
 
     Covered-edge reversals connect every pair of Markov equivalent DAGs
     (Chickering, UAI 1995), so the search from the PEO orientation reaches
-    every AMO.  A state is one Python-int parent bitmask per vertex, bit u of
-    entry v set for u->v, with no limit on the vertex count.  Returns, in
-    discovery order, the keys, the flip rows over the sorted edges (entry e
-    of row i is the state reached by proposing edge e) and the parent masks.
+    every AMO, whether the graph is connected or not.  A state is one
+    Python-int parent bitmask per vertex, bit u of entry v set for u->v, with
+    no limit on the vertex count.  Returns, in discovery order, the keys, the
+    flip rows over the sorted edges (entry e of row i is the state reached by
+    proposing edge e) and the parent masks.
     """
     peo = require_chordal(g)
-    if not g.is_connected():
-        raise ValueError("input graph must be connected")
     if cap is not None:
         total = count_amos(g)
         if total > cap:
@@ -156,8 +155,8 @@ def _flip_search(g, cap):
 
 
 def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
-    """Canonical arc tuples (keys) of every AMO of a connected chordal graph,
-    sorted; ``cap`` bounds their number, ``None`` for no bound."""
+    """Canonical arc tuples (keys) of every AMO of a chordal graph, sorted;
+    ``cap`` bounds their number, ``None`` for no bound."""
     return sorted(_flip_search(g, cap)[0])
 
 
@@ -189,6 +188,8 @@ class OrientationSpace:
 
 
 def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
+    if not g.is_connected():
+        raise ValueError("input graph must be connected")
     keys, rows, parents = _flip_search(g, cap)
     # canonical order is the sorted keys; the table is relabeled by rank
     order = sorted(range(len(keys)), key=keys.__getitem__)

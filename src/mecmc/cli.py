@@ -38,7 +38,10 @@ MEC_LIST_CAP = 1000
 NULL_LARGE = (
     f"more than {flipchain.DENSE_STATES} states: exact_tmix needs the dense matrix"
 )
-NULL_UNMIXED = "the chain is not within 1/4 of uniform after 2^20 steps"
+NULL_UNMIXED = (
+    f"the chain is not within 1/{round(1 / flipchain.TMIX_EPS)} of uniform "
+    f"after 2^{flipchain.TMIX_MAX_STEPS.bit_length() - 1} steps"
+)
 NULL_ONE_CLIQUE = "one maximal clique: the decomposition bound needs two or more"
 NULL_NO_CUT = "no clique cut is nonempty with at most half of the states"
 

@@ -17,7 +17,6 @@ from .graphs import (
     CapExceededError,
     Dag,
     Pdag,
-    UndirectedGraph,
     edge_key,
     has_partially_directed_cycle,
     immoralities,
@@ -130,25 +129,6 @@ def is_essential_graph(p):
     return all(is_strongly_protected(p, arc) for arc in p.arcs)
 
 
-def _chain_components(p):
-    """Yield (vertices, relabeled graph) for each undirected chain component
-    of ``p`` with an edge; vertex i of the graph is ``vertices[i]``."""
-    und = p.undirected_part()
-    for comp in und.connected_components():
-        if len(comp) == 1:
-            continue
-        members = set(comp)
-        relabel = {v: i for i, v in enumerate(comp)}
-        yield comp, UndirectedGraph(
-            len(comp),
-            (
-                (relabel[u], relabel[v])
-                for u, v in und.edges
-                if u in members and v in members
-            ),
-        )
-
-
 def class_size(p):
     """Number of DAGs in the class of an essential graph: the product over
     undirected components of their AMO counts."""
@@ -157,19 +137,12 @@ def class_size(p):
 
 def class_members(p):
     """Yield the sorted arc tuple (key) of every DAG in the class of the
-    essential graph ``p``: its arcs plus one AMO of each undirected chain
-    component.  Yields ``class_size(p)`` keys, so callers check that size
-    first."""
-    comps, choices = [], []
-    for comp, sub in _chain_components(p):
-        comps.append(comp)
-        choices.append(amo_mod.enumerate_amos(sub, None))
-    # relabel member by member: only one member's arcs are alive at a time
-    for combo in itertools.product(*choices):
-        arcs = list(p.arcs)
-        for comp, key in zip(comps, combo):
-            arcs.extend((comp[u], comp[v]) for u, v in key)
-        yield tuple(sorted(arcs))
+    essential graph ``p``: its arcs plus one AMO of its undirected part, all
+    found by one flip search, since covered-edge flips connect a whole class
+    (Chickering, UAI 1995).  Yields ``class_size(p)`` keys, so callers check
+    that size first."""
+    for key in amo_mod.enumerate_amos(p.undirected_part(), None):
+        yield tuple(sorted(p.arcs.union(key)))
 
 
 def enumerate_essential_graphs(n):

@@ -27,6 +27,9 @@ DENSE_SPECTRUM_CAP = 10_000
 # and diagnose skips exact_tmix; at or below it the dense matrix is cheap
 DENSE_STATES = 1500
 EIGEN_TOL = 1e-9
+# exact_tmix: the TV distance that counts as mixed, and the step limit
+TMIX_EPS = 0.25
+TMIX_MAX_STEPS = 1 << 20
 
 
 class TransitionMatrix:
@@ -217,12 +220,12 @@ def clique_cut_bottlenecks(space):
     return out
 
 
-def exact_tmix(tm, eps=0.25, max_steps=1 << 20):
-    """Smallest t with max-over-starts TV(P^t(x, .), pi) <= eps.
+def exact_tmix(tm):
+    """Smallest t with max-over-starts TV(P^t(x, .), pi) <= ``TMIX_EPS``.
 
     Computed from literal matrix powers (doubling, then bisection).  Returns
-    None when the chain has not mixed within ``max_steps`` (e.g. periodic
-    chains such as the single-edge graph).
+    None when the chain has not mixed within ``TMIX_MAX_STEPS`` (e.g.
+    periodic chains such as the single-edge graph).
     """
     N = tm.dimension
     if N == 1:
@@ -233,24 +236,24 @@ def exact_tmix(tm, eps=0.25, max_steps=1 << 20):
         return float(0.5 * np.max(np.abs(A - pi).sum(axis=1)))
 
     P = tm.matrix
-    if dist(P) <= eps:
-        return 1 if dist(np.eye(N)) > eps else 0
+    if dist(P) <= TMIX_EPS:
+        return 1 if dist(np.eye(N)) > TMIX_EPS else 0
     powers = [P]  # powers[j] = P^(2^j)
     t, A = 1, P
-    while dist(A) > eps:
-        if 2 * t > max_steps:
+    while dist(A) > TMIX_EPS:
+        if 2 * t > TMIX_MAX_STEPS:
             return None
         A = A @ A
         t *= 2
         powers.append(A)
     lo_t, lo_A = t // 2, powers[-2]
     hi_t = t
-    # invariant: dist at lo_t > eps >= dist at hi_t; hi_t - lo_t is a power
-    # of two, so each midpoint is one product with a stored power
+    # invariant: dist at lo_t > TMIX_EPS >= dist at hi_t; hi_t - lo_t is a
+    # power of two, so each midpoint is one product with a stored power
     while hi_t - lo_t > 1:
         mid = (lo_t + hi_t) // 2
         M = lo_A @ powers[(mid - lo_t).bit_length() - 1]
-        if dist(M) <= eps:
+        if dist(M) <= TMIX_EPS:
             hi_t = mid
         else:
             lo_t, lo_A = mid, M

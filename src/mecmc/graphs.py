@@ -27,9 +27,18 @@ class CapExceededError(RuntimeError):
     """An enumeration would exceed the configured state cap."""
 
 
-def _check_vertex(v, n):
-    if not isinstance(v, int) or not 0 <= v < n:
-        raise ValueError(f"vertex {v!r} out of range for n={n}")
+def _check_vertices(n, *vertices):
+    for v in vertices:
+        if not isinstance(v, int) or not 0 <= v < n:
+            raise ValueError(f"vertex {v!r} out of range for n={n}")
+
+
+_NONE = frozenset()  # the one empty set every vertex without neighbours shares
+
+
+def _freeze(sets):
+    """Per-vertex neighbour table as a tuple of frozensets, empty sets shared."""
+    return tuple(frozenset(s) if s else _NONE for s in sets)
 
 
 def edge_key(u, v):
@@ -48,15 +57,14 @@ class UndirectedGraph:
         self.n = n
         norm = set()
         for u, v in edges:
-            _check_vertex(u, n)
-            _check_vertex(v, n)
+            _check_vertices(n, u, v)
             norm.add(edge_key(u, v))
         self.edges = frozenset(norm)
         adj = [set() for _ in range(n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj = _freeze(adj)
 
     def has_edge(self, u, v):
         return u != v and edge_key(u, v) in self.edges
@@ -110,54 +118,6 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, m={len(self.edges)})"
 
 
-class Dag:
-    """A directed acyclic graph; construction rejects cycles and 2-cycles."""
-
-    def __init__(self, n, arcs=()):
-        self.n = n
-        norm = set()
-        for u, v in arcs:
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if (v, u) in norm:
-                raise ValueError(f"arcs in both directions between {u} and {v}")
-            norm.add((u, v))
-        self.arcs = frozenset(norm)
-        if not is_acyclic(n, self.arcs):
-            raise ValueError("arc set contains a directed cycle")
-        par = [set() for _ in range(n)]
-        chi = [set() for _ in range(n)]
-        for u, v in self.arcs:
-            par[v].add(u)
-            chi[u].add(v)
-        self.parents = tuple(frozenset(s) for s in par)
-        self.children = tuple(frozenset(s) for s in chi)
-
-    def topological_order(self):
-        indeg = [len(self.parents[v]) for v in range(self.n)]
-        ready = deque(sorted(v for v in range(self.n) if indeg[v] == 0))
-        order = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for w in sorted(self.children[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        return order
-
-    def __eq__(self, other):
-        return isinstance(other, Dag) and self.n == other.n and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((self.n, self.arcs))
-
-    def __repr__(self):
-        return f"Dag(n={self.n}, arcs={sorted(self.arcs)!r})"
-
-
 class Pdag:
     """A partially directed graph: a set of arcs plus a set of lines."""
 
@@ -165,8 +125,7 @@ class Pdag:
         self.n = n
         arc_set = set()
         for u, v in arcs:
-            _check_vertex(u, n)
-            _check_vertex(v, n)
+            _check_vertices(n, u, v)
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if (v, u) in arc_set:
@@ -174,26 +133,24 @@ class Pdag:
             arc_set.add((u, v))
         line_set = set()
         for u, v in lines:
-            _check_vertex(u, n)
-            _check_vertex(v, n)
+            _check_vertices(n, u, v)
             line_set.add(edge_key(u, v))
         self.arcs = frozenset(arc_set)
         self.lines = frozenset(line_set)
-        for u, v in self.arcs:
-            if edge_key(u, v) in self.lines:
-                raise ValueError(f"pair {u},{v} is both an arc and a line")
         par = [set() for _ in range(n)]
         chi = [set() for _ in range(n)]
         for u, v in self.arcs:
+            if edge_key(u, v) in self.lines:
+                raise ValueError(f"pair {u},{v} is both an arc and a line")
             par[v].add(u)
             chi[u].add(v)
         und = [set() for _ in range(n)]
         for u, v in self.lines:
             und[u].add(v)
             und[v].add(u)
-        self.parents = tuple(frozenset(s) for s in par)
-        self.children = tuple(frozenset(s) for s in chi)
-        self.undirected_neighbors = tuple(frozenset(s) for s in und)
+        self.parents = _freeze(par)
+        self.children = _freeze(chi)
+        self.undirected_neighbors = _freeze(und)
 
     def adjacent(self, u, v):
         return (
@@ -220,9 +177,33 @@ class Pdag:
 
     def __repr__(self):
         return (
-            f"Pdag(n={self.n}, arcs={sorted(self.arcs)!r}, "
+            f"{type(self).__name__}(n={self.n}, arcs={sorted(self.arcs)!r}, "
             f"lines={sorted(self.lines)!r})"
         )
+
+
+class Dag(Pdag):
+    """A directed acyclic graph: a ``Pdag`` without lines (Andersson, Madigan
+    & Perlman, 1997) whose construction also rejects directed cycles.  It
+    equals, and hashes like, the ``Pdag`` with the same arcs."""
+
+    def __init__(self, n, arcs=()):
+        super().__init__(n, arcs)
+        if not is_acyclic(n, self.arcs):
+            raise ValueError("arc set contains a directed cycle")
+
+    def topological_order(self):
+        indeg = [len(self.parents[v]) for v in range(self.n)]
+        ready = deque(sorted(v for v in range(self.n) if indeg[v] == 0))
+        order = []
+        while ready:
+            v = ready.popleft()
+            order.append(v)
+            for w in sorted(self.children[v]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+        return order
 
 
 def is_acyclic(n, arcs):
@@ -250,14 +231,10 @@ def skeleton(d):
 
 def immoralities(d):
     """Triples (a, b, c) with a->c<-b, a < b, and a, b nonadjacent."""
-    adj = [set() for _ in range(d.n)]
-    for u, v in d.arcs:
-        adj[u].add(v)
-        adj[v].add(u)
     out = set()
     for c in range(d.n):
         for a, b in itertools.combinations(sorted(d.parents[c]), 2):
-            if b not in adj[a]:
+            if not d.adjacent(a, b):
                 out.add((a, b, c))
     return frozenset(out)
 
@@ -499,12 +476,7 @@ def has_partially_directed_cycle(p):
     Equivalent test: in the digraph with lines doubled in both directions,
     some arc's head reaches its tail back.
     """
-    succ = [set() for _ in range(p.n)]
-    for u, v in p.arcs:
-        succ[u].add(v)
-    for u, v in p.lines:
-        succ[u].add(v)
-        succ[v].add(u)
+    succ = [ch | nb for ch, nb in zip(p.children, p.undirected_neighbors)]
     for u, v in p.arcs:
         # BFS from v looking for u
         seen = {v}

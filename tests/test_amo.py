@@ -124,7 +124,7 @@ def test_enumerate_counts():
     assert count_amos(glued_clique_chain([4, 4], [2])) == 88
 
 
-@given(chordal_graphs(min_n=1, max_n=5, connected=True))
+@given(chordal_graphs(min_n=1, max_n=5))
 @settings(max_examples=80, deadline=None)
 def test_enumeration_matches_bruteforce(g):
     found = enumerate_amos(g)
@@ -146,7 +146,7 @@ def test_search_finds_every_amo_on_suite(suite):
         assert_search_finds_every_amo(g)
 
 
-@given(chordal_graphs(min_n=1, max_n=7, connected=True))
+@given(chordal_graphs(min_n=1, max_n=7))
 @settings(max_examples=60, deadline=None)
 def test_search_finds_every_amo(g):
     assert_search_finds_every_amo(g)

@@ -75,14 +75,42 @@ def test_is_acyclic_examples():
 
 
 def test_dag_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^arc set contains a directed cycle$"):
         Dag(3, {(0, 1), (1, 2), (2, 0)})
-    with pytest.raises(ValueError):
-        Dag(2, {(0, 1), (1, 0)})
+    with pytest.raises(ValueError, match="^arcs in both directions between 1 and 0$"):
+        Dag(2, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="^self-loop at 1$"):
+        Dag(2, [(1, 1)])
+    with pytest.raises(ValueError, match="^vertex 2 out of range for n=2$"):
+        Dag(2, [(0, 2)])
     d = Dag(3, {(0, 1), (0, 2), (1, 2)})
     order = d.topological_order()
     pos = {v: i for i, v in enumerate(order)}
     assert all(pos[u] < pos[v] for u, v in d.arcs)
+    # a DAG is a Pdag without lines, equal to and hashing like the Pdag
+    p = Pdag(3, {(0, 1), (0, 2), (1, 2)})
+    assert isinstance(d, Pdag) and d.lines == frozenset()
+    assert d == p and p == d and hash(d) == hash(p)
+    assert d != Pdag(3, {(0, 1), (0, 2)}, {(1, 2)})
+    assert repr(d) == "Dag(n=3, arcs=[(0, 1), (0, 2), (1, 2)], lines=[])"
+
+
+@pytest.mark.parametrize(
+    "cls, tables",
+    [
+        (UndirectedGraph, ("adj",)),
+        (Pdag, ("parents", "children", "undirected_neighbors")),
+        (Dag, ("parents", "children", "undirected_neighbors")),
+    ],
+    ids=["UndirectedGraph", "Pdag", "Dag"],
+)
+def test_isolated_vertices_share_one_empty_set(cls, tables):
+    graph = cls(100_000)
+    for name in tables:
+        table = getattr(graph, name)
+        assert len(table) == 100_000
+        assert len({id(s) for s in table}) == 1
+        assert table[0] == frozenset()
 
 
 def test_pdag_validation():
