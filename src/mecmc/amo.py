@@ -189,6 +189,7 @@ class OrientationSpace:
 
 def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
     if not g.is_connected():
+        require_chordal(g)  # a chordless cycle is the more useful report
         raise ValueError("input graph must be connected")
     keys, rows, parents = _flip_search(g, cap)
     # canonical order is the sorted keys; the table is relabeled by rank

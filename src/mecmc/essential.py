@@ -17,6 +17,7 @@ from .graphs import (
     CapExceededError,
     Dag,
     Pdag,
+    UndirectedGraph,
     edge_key,
     has_partially_directed_cycle,
     immoralities,
@@ -137,12 +138,15 @@ def class_size(p):
 
 def class_members(p):
     """Yield the sorted arc tuple (key) of every DAG in the class of the
-    essential graph ``p``: its arcs plus one AMO of its undirected part, all
-    found by one flip search, since covered-edge flips connect a whole class
-    (Chickering, UAI 1995).  Yields ``class_size(p)`` keys, so callers check
-    that size first."""
-    for key in amo_mod.enumerate_amos(p.undirected_part(), None):
-        yield tuple(sorted(p.arcs.union(key)))
+    essential graph ``p``: its arcs plus one AMO of its lines, all found by
+    one flip search over the vertices with lines, since covered-edge flips
+    connect a whole class (Chickering, UAI 1995).  Yields ``class_size(p)``
+    keys, so callers check that size first."""
+    verts = [v for v in range(p.n) if p.undirected_neighbors[v]]
+    label = {v: i for i, v in enumerate(verts)}
+    sub = UndirectedGraph(len(verts), ((label[u], label[v]) for u, v in p.lines))
+    for key in amo_mod.enumerate_amos(sub, None):
+        yield tuple(sorted(p.arcs.union((verts[u], verts[v]) for u, v in key)))
 
 
 def enumerate_essential_graphs(n):

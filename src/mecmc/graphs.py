@@ -27,10 +27,9 @@ class CapExceededError(RuntimeError):
     """An enumeration would exceed the configured state cap."""
 
 
-def _check_vertices(n, *vertices):
-    for v in vertices:
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise ValueError(f"vertex {v!r} out of range for n={n}")
+def _check_vertex(v, n):
+    if not isinstance(v, int) or not 0 <= v < n:
+        raise ValueError(f"vertex {v!r} out of range for n={n}")
 
 
 _NONE = frozenset()  # the one empty set every vertex without neighbours shares
@@ -57,7 +56,8 @@ class UndirectedGraph:
         self.n = n
         norm = set()
         for u, v in edges:
-            _check_vertices(n, u, v)
+            _check_vertex(u, n)
+            _check_vertex(v, n)
             norm.add(edge_key(u, v))
         self.edges = frozenset(norm)
         adj = [set() for _ in range(n)]
@@ -68,9 +68,6 @@ class UndirectedGraph:
 
     def has_edge(self, u, v):
         return u != v and edge_key(u, v) in self.edges
-
-    def neighbors(self, v):
-        return self.adj[v]
 
     def degree(self, v):
         return len(self.adj[v])
@@ -125,7 +122,8 @@ class Pdag:
         self.n = n
         arc_set = set()
         for u, v in arcs:
-            _check_vertices(n, u, v)
+            _check_vertex(u, n)
+            _check_vertex(v, n)
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if (v, u) in arc_set:
@@ -133,7 +131,8 @@ class Pdag:
             arc_set.add((u, v))
         line_set = set()
         for u, v in lines:
-            _check_vertices(n, u, v)
+            _check_vertex(u, n)
+            _check_vertex(v, n)
             line_set.add(edge_key(u, v))
         self.arcs = frozenset(arc_set)
         self.lines = frozenset(line_set)

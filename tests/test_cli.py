@@ -129,6 +129,17 @@ def test_non_chordal_input_exits_2(tmp_path, capsys):
     assert "chordless cycle" in err
 
 
+@pytest.mark.parametrize("sub", ["sample-amo", "diagnose"])
+def test_disconnected_non_chordal_input_reports_the_cycle(tmp_path, capsys, sub):
+    # C4 plus a separate edge: six vertices and five edges pass the header
+    # check, and the chordless cycle is reported before the disconnection
+    p = tmp_path / "c4_and_edge.txt"
+    p.write_text(format_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]))
+    assert main([sub, "--input", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "chordless cycle" in err and "connected" not in err
+
+
 def test_disconnected_input_exits_2(tmp_path, capsys):
     p = tmp_path / "two.txt"
     p.write_text(format_graph(4, [(0, 1), (2, 3)]))

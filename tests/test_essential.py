@@ -1,6 +1,7 @@
 """Tests for Markov equivalence and essential graphs."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -224,3 +225,22 @@ def test_class_members_of_a_large_skeleton():
     assert len(members) == 30
     assert len(set(members)) == 30
     assert tuple(sorted(tree.arcs)) in members
+
+
+def test_class_members_cost_does_not_grow_with_isolated_vertices():
+    # one K5 of lines among 200,000 vertices: the search runs on the five
+    # vertices with lines, not on one 200,000-entry state per member
+    spots = [3, 1_000, 50_000, 123_456, 199_999]
+    big = Pdag(200_000, [(0, 7)], itertools.combinations(spots, 2))
+    small = Pdag(5, (), itertools.combinations(range(5), 2))
+    tracemalloc.start()
+    members = list(class_members(big))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2_000_000
+    relabel = [
+        tuple(sorted([(0, 7)] + [(spots[u], spots[v]) for u, v in key]))
+        for key in class_members(small)
+    ]
+    assert members == relabel
+    assert len(set(members)) == 120
