@@ -289,24 +289,24 @@ def cmd_hjy(args):
     n = args.nmax
     config = RunConfig(subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n)
     rng = np.random.default_rng(args.seed)
-    state = Pdag(n, set(), set())
-    lines = [json.dumps({"config": config.to_dict()}, sort_keys=True)]
+    state = hjy.MaskState(Pdag(n))
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+    lines = [encode({"config": config.to_dict()})]
     digest = hjy.state_hash(state)
-    lines.append(json.dumps({"step": 0, "state": digest}, sort_keys=True))
+    lines.append(encode({"step": 0, "state": digest}))
     for t in range(1, args.steps + 1):
         state, move, accepted = hjy.step(state, rng)
-        if accepted:  # a rejected step returns the same state
+        if accepted:  # a rejected step leaves the state as it was
             digest = hjy.state_hash(state)
         lines.append(
-            json.dumps(
+            encode(
                 {
                     "step": t,
                     "kind": move.kind if move else None,
                     "vertices": list(move.vertices) if move else None,
                     "accepted": accepted,
                     "state": digest,
-                },
-                sort_keys=True,
+                }
             )
         )
     if n <= 4:
@@ -319,18 +319,18 @@ def cmd_hjy(args):
         )
         doubly = symmetric and all(sum(row.values()) == 1 for row in kernel)
         lines.append(
-            json.dumps(
+            encode(
                 {
                     "uniformity": {
                         "n_states": m,
                         "symmetric": symmetric,
                         "uniform_stationary": doubly,
                     }
-                },
-                sort_keys=True,
+                }
             )
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    lines.append("")  # the final newline, without a second copy of the text
+    _emit("\n".join(lines), args.out)
     return 0
 
 

@@ -10,7 +10,9 @@ strongly protected.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
 
 from . import amo as amo_mod
 from .graphs import (
@@ -18,7 +20,6 @@ from .graphs import (
     Dag,
     Pdag,
     UndirectedGraph,
-    edge_key,
     has_partially_directed_cycle,
     immoralities,
     is_acyclic,
@@ -95,25 +96,65 @@ def protected_directed_only(d, arc):
     return d.parents[u] != d.parents[v] - {u}
 
 
+class _Undirecting:
+    """A DAG whose arcs are undirected one at a time: mutable parent, child
+    and line sets under the ``Pdag`` names that ``is_strongly_protected``
+    reads, made only for the vertices that have edges."""
+
+    def __init__(self, d):
+        self.arcs = set(d.arcs)
+        self.parents = defaultdict(set)
+        self.children = defaultdict(set)
+        self.undirected_neighbors = defaultdict(set)
+        for u, v in self.arcs:
+            self.parents[v].add(u)
+            self.children[u].add(v)
+
+    def adjacent(self, u, v):
+        return (
+            v in self.parents[u]
+            or v in self.children[u]
+            or v in self.undirected_neighbors[u]
+        )
+
+    def undirect(self, u, v):
+        self.arcs.remove((u, v))
+        self.parents[v].discard(u)
+        self.children[u].discard(v)
+        self.undirected_neighbors[u].add(v)
+        self.undirected_neighbors[v].add(u)
+
+
 def essential_graph_of_dag(d):
     """Essential graph via fixed-point undirection of unprotected arcs.
 
     Repeatedly undirects the lexicographically smallest arc that is not
     strongly protected; the fixed point is the essential graph of the class.
+    A heap holds the arcs whose protection is not known: at first every
+    arc.  Undirecting u->v changes only the parent, child and line sets of
+    u and v, so only the arcs at u or v go back on the heap.  Every arc off
+    the heap is protected, so the smallest unprotected arc is the first one
+    popped that fails the test.
     """
-    arcs = set(d.arcs)
-    lines = set()
-    while True:
-        p = Pdag(d.n, arcs, lines)
-        weak = None
-        for arc in sorted(arcs):
-            if not is_strongly_protected(p, arc):
-                weak = arc
-                break
-        if weak is None:
-            return p
-        arcs.remove(weak)
-        lines.add(edge_key(*weak))
+    g = _Undirecting(d)
+    heap = sorted(g.arcs)
+    queued = set(heap)
+    lines = []
+    while heap:
+        arc = heapq.heappop(heap)
+        queued.remove(arc)
+        if is_strongly_protected(g, arc):
+            continue
+        g.undirect(*arc)
+        lines.append(arc)
+        for w in arc:
+            for again in itertools.chain(
+                ((x, w) for x in g.parents[w]), ((w, y) for y in g.children[w])
+            ):
+                if again not in queued:
+                    queued.add(again)
+                    heapq.heappush(heap, again)
+    return Pdag(d.n, g.arcs, lines)
 
 
 def is_essential_graph(p):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 
@@ -35,9 +35,14 @@ def _check_vertex(v, n):
 _NONE = frozenset()  # the one empty set every vertex without neighbours shares
 
 
-def _freeze(sets):
-    """Per-vertex neighbour table as a tuple of frozensets, empty sets shared."""
-    return tuple(frozenset(s) if s else _NONE for s in sets)
+def _freeze(n, sets):
+    """Per-vertex neighbour table over n vertices as a tuple of frozensets,
+    from a mapping that holds only the vertices with neighbours; the others
+    share the one empty set."""
+    table = [_NONE] * n
+    for v, s in sets.items():
+        table[v] = frozenset(s)
+    return tuple(table)
 
 
 def edge_key(u, v):
@@ -60,11 +65,11 @@ class UndirectedGraph:
             _check_vertex(v, n)
             norm.add(edge_key(u, v))
         self.edges = frozenset(norm)
-        adj = [set() for _ in range(n)]
+        adj = defaultdict(set)
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self.adj = _freeze(adj)
+        self.adj = _freeze(n, adj)
 
     def has_edge(self, u, v):
         return u != v and edge_key(u, v) in self.edges
@@ -136,20 +141,18 @@ class Pdag:
             line_set.add(edge_key(u, v))
         self.arcs = frozenset(arc_set)
         self.lines = frozenset(line_set)
-        par = [set() for _ in range(n)]
-        chi = [set() for _ in range(n)]
+        par, chi, und = defaultdict(set), defaultdict(set), defaultdict(set)
         for u, v in self.arcs:
             if edge_key(u, v) in self.lines:
                 raise ValueError(f"pair {u},{v} is both an arc and a line")
             par[v].add(u)
             chi[u].add(v)
-        und = [set() for _ in range(n)]
         for u, v in self.lines:
             und[u].add(v)
             und[v].add(u)
-        self.parents = _freeze(par)
-        self.children = _freeze(chi)
-        self.undirected_neighbors = _freeze(und)
+        self.parents = _freeze(n, par)
+        self.children = _freeze(n, chi)
+        self.undirected_neighbors = _freeze(n, und)
 
     def adjacent(self, u, v):
         return (
@@ -208,16 +211,16 @@ class Dag(Pdag):
 def is_acyclic(n, arcs):
     """Kahn's algorithm on a candidate arc set."""
     indeg = [0] * n
-    children = [[] for _ in range(n)]
+    children = {}
     for u, v in arcs:
         indeg[v] += 1
-        children[u].append(v)
+        children.setdefault(u, []).append(v)
     ready = [v for v in range(n) if indeg[v] == 0]
     seen = 0
     while ready:
         v = ready.pop()
         seen += 1
-        for w in children[v]:
+        for w in children.get(v, ()):
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)

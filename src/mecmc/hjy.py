@@ -15,6 +15,10 @@ with equal probability, the kernel is symmetric, and the uniform law is
 stationary.  ``emptying_sequence`` realizes the constructive walk from any
 essential graph down to the empty graph, which shows the chain is
 connected, and every one of its moves is accepted under this rule.
+
+The walk holds its state as a ``MaskState``, edited in place; since the
+state before each edit is essential, the test looks only at the vertices
+and chain components the edit touches.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .essential import is_essential_graph
 from .graphs import Dag, Pdag, edge_key, format_pdag, perfect_elimination_ordering
 from .posets import poset_stats, reachability_poset
 
@@ -52,7 +55,8 @@ class Move:
 
 
 def state_hash(p):
-    """Stable short digest of the canonical text form."""
+    """Stable short digest of the canonical text form of a ``Pdag`` or a
+    ``MaskState``."""
     return hashlib.sha256(format_pdag(p).encode()).hexdigest()[:12]
 
 
@@ -108,51 +112,230 @@ def consistent_extension(p):
     return Dag(p.n, result)
 
 
-def _edit(state, move):
-    """The literal edit of ``move`` on ``state`` as a Pdag, or None when a
-    precondition fails: a repeated vertex, an insert on an adjacent pair, a
-    delete of a missing edge, an immorality whose outer vertices are
-    adjacent or whose two edges are not both lines (make) or both arcs into
-    the middle vertex (remove)."""
-    kind = move.kind
-    arcs = set(state.arcs)
-    lines = set(state.lines)
-    if "immorality" in kind:
-        a, b, c = move.vertices
-        if len({a, b, c}) != 3 or state.adjacent(a, c):
-            return None
-        pair_lines = {edge_key(a, b), edge_key(b, c)}
-        pair_arcs = {(a, b), (c, b)}
-        if kind == "make-immorality":
-            if not pair_lines <= lines:
-                return None
-            lines -= pair_lines
-            arcs |= pair_arcs
+def _bits(m):
+    """The set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+class MaskState:
+    """An essential graph held for in-place chain moves.
+
+    Bit u of ``par[v]``, ``chi[v]``, ``und[v]`` and ``adj[v]`` is set for
+    u->v, v->u, the line u-v and any edge between u and v; ``arcs`` and
+    ``lines`` hold the same edges as pairs, so ``format_pdag`` and
+    ``state_hash`` read the state as they read a ``Pdag``.  ``try_move``
+    makes a move's literal edit, keeps it when the result is essential and
+    undoes it otherwise.  The state before an edit is essential, so the test
+    covers only what the edit can break (Chickering, JMLR 2002, checks
+    operator validity the same way): the state must be built from an
+    essential graph.
+    """
+
+    def __init__(self, p):
+        n = self.n = p.n
+        self.par, self.chi, self.und, self.adj = [0] * n, [0] * n, [0] * n, [0] * n
+        self.arcs, self.lines = set(), set()
+        for u, v in p.arcs:
+            self._toggle_arc(u, v)
+        for u, v in p.lines:
+            self._toggle_line(u, v)
+
+    def key(self):
+        """The ``Pdag.key()`` of the state."""
+        return (self.n, tuple(sorted(self.arcs)), tuple(sorted(self.lines)))
+
+    def pdag(self):
+        return Pdag(self.n, self.arcs, self.lines)
+
+    def try_move(self, move):
+        """Apply ``move`` in place and return True when its literal edit is
+        an essential graph; otherwise leave the state as it was and return
+        False."""
+        kind, vs = move.kind, move.vertices
+        if not self._fits(kind, vs):
+            return False
+        self._toggle(kind, vs)
+        if self._essential_after(kind, vs):
+            return True
+        self._toggle(kind, vs)
+        return False
+
+    def undo(self, move):
+        """Revert an accepted ``move``."""
+        self._toggle(move.kind, move.vertices)
+
+    def _toggle_arc(self, u, v):
+        bu, bv = 1 << u, 1 << v
+        self.chi[u] ^= bv
+        self.par[v] ^= bu
+        self.adj[u] ^= bv
+        self.adj[v] ^= bu
+        self.arcs ^= {(u, v)}
+
+    def _toggle_line(self, u, v):
+        bu, bv = 1 << u, 1 << v
+        self.und[u] ^= bv
+        self.und[v] ^= bu
+        self.adj[u] ^= bv
+        self.adj[v] ^= bu
+        self.lines ^= {edge_key(u, v)}
+
+    def _toggle(self, kind, vs):
+        """Flip the marks of the pairs a move of ``kind`` edits.  Where the
+        move's precondition holds this is its literal edit, and a second
+        call undoes it: the inverse kind edits the same marks back."""
+        if len(vs) == 3:
+            a, b, c = vs
+            self._toggle_line(a, b)
+            self._toggle_line(b, c)
+            self._toggle_arc(a, b)
+            self._toggle_arc(c, b)
+        elif "arc" in kind:
+            self._toggle_arc(*vs)
         else:
-            if not pair_arcs <= arcs:
-                return None
-            arcs -= pair_arcs
-            lines |= pair_lines
-    else:
-        u, v = move.vertices
+            self._toggle_line(*vs)
+
+    def _fits(self, kind, vs):
+        """Whether the marks fit the move: no repeated vertex, no insert on
+        an adjacent pair, no delete of a missing edge, and an immorality's
+        outer vertices nonadjacent with both its edges lines (make) or both
+        arcs into the middle vertex (remove)."""
+        if len(vs) == 3:
+            a, b, c = vs
+            if a == b or b == c or a == c or self.adj[a] >> c & 1:
+                return False
+            ends = self.und[b] if kind == "make-immorality" else self.par[b]
+            return ends >> a & ends >> c & 1 == 1
+        u, v = vs
         if u == v:
-            return None
+            return False
         if kind.startswith("insert"):
-            if state.adjacent(u, v):
-                return None
-            if kind == "insert-arc":
-                arcs.add((u, v))
-            else:
-                lines.add(edge_key(u, v))
-        elif kind == "delete-arc":
-            if (u, v) not in arcs:
-                return None
-            arcs.remove((u, v))
-        else:
-            if edge_key(u, v) not in lines:
-                return None
-            lines.remove(edge_key(u, v))
-    return Pdag(state.n, arcs, lines)
+            return not self.adj[u] >> v & 1
+        table = self.chi if kind == "delete-arc" else self.und
+        return table[u] >> v & 1 == 1
+
+    def _essential_after(self, kind, vs):
+        """Whether the state, just edited by a move from an essential graph,
+        is essential.  Each of the four conditions is tested only where the
+        edit can break it:
+
+        - strong protection of the arcs at the edited vertices.  An arc
+          x->y elsewhere can only lose configuration (d), when an insert
+          makes its line neighbours u, v adjacent while u->y, v->y.  An
+          arc u-v would close a partially directed cycle with x, and after
+          a line u-v the tested protection of u->y gives x->y one too;
+        - no induced x->y-z with x, z nonadjacent, at each edited vertex y
+          and, after a delete, at the common neighbours of the pair;
+        - chordality of the lines: nothing after an arc move; after a
+          line delete, the common line neighbours form a clique (the line
+          then lies in one maximal clique); after a line insert, the common
+          line neighbours separate its ends in the graph without it.  A
+          make-immorality a->b<-c needs nothing more: the rule at b makes
+          each common line neighbour of a and b a line neighbour of c, and
+          two nonadjacent ones would have closed a chordless cycle with a
+          and c before the edit;
+        - no partially directed cycle: one search from the head of each new
+          arc, or from the chain component a new line merged.
+        """
+        par, chi, und, adj = self.par, self.chi, self.und, self.adj
+        if kind.startswith("delete"):
+            u, v = vs
+            if chi[u] & und[v] or chi[v] & und[u]:
+                return False
+        for y in vs:
+            if und[y]:
+                for x in _bits(par[y]):
+                    if und[y] & ~adj[x]:
+                        return False
+        for y in vs:
+            for x in _bits(par[y]):
+                if not self._protected(x, y):
+                    return False
+            for z in _bits(chi[y]):
+                if not self._protected(y, z):
+                    return False
+        if kind == "insert-arc":
+            u, v = vs
+            return not self._reach(1 << v, (chi, und), 1 << u) >> u & 1
+        if kind == "insert-line":
+            u, v = vs
+            return self._line_keeps_chordal(u, v) and not self._component_cycle(u)
+        if kind == "delete-line":
+            u, v = vs
+            return self._is_clique(und[u] & und[v])
+        if kind == "make-immorality":
+            a, b, c = vs
+            ends = 1 << a | 1 << c
+            return not self._reach(1 << b, (chi, und), ends) & ends
+        if kind == "remove-immorality":
+            a, b, c = vs
+            return (
+                self._line_keeps_chordal(a, b)
+                and self._line_keeps_chordal(c, b)
+                and not self._component_cycle(b)
+            )
+        return True  # delete-arc
+
+    def _protected(self, x, y):
+        """The four strong-protection configurations of x->y, as in
+        ``essential.is_strongly_protected``."""
+        par, adj = self.par, self.adj
+        py = par[y]
+        if par[x] & ~adj[y] or py & ~adj[x] & ~(1 << x) or self.chi[x] & py:
+            return True  # (a), (b), (c)
+        cand = self.und[x] & py
+        for w in _bits(cand):
+            if cand & ~adj[w] & ~(1 << w):
+                return True  # (d)
+        return False
+
+    def _reach(self, start, tables, stop=0, block=0):
+        """Mask of the vertices reached from mask ``start`` along the
+        per-vertex masks in ``tables``, never entering ``block``; the search
+        ends early once it reaches a vertex of ``stop``."""
+        seen = frontier = start
+        while frontier and not seen & stop:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            frontier ^= low
+            new = 0
+            for table in tables:
+                new |= table[v]
+            new &= ~seen & ~block
+            seen |= new
+            frontier |= new
+        return seen
+
+    def _component_cycle(self, x):
+        """Whether a partially directed cycle passes through the chain
+        component of ``x``: an arc leaving it leads back into it."""
+        comp = self._reach(1 << x, (self.und,))
+        out = 0
+        for v in _bits(comp):
+            out |= self.chi[v]
+        return self._reach(out, (self.chi, self.und), comp) & comp != 0
+
+    def _line_keeps_chordal(self, x, y):
+        """Whether the line x-y, present now, keeps the lines chordal given
+        that they were chordal without it: exactly when no path of lines
+        joins x to y around their common line neighbours (its shortest form
+        would close a chordless cycle with x-y).  The search avoids y, so it
+        never uses x-y or another line new at y."""
+        und = self.und
+        block = und[x] & und[y] | 1 << y
+        target = und[y] & ~block & ~(1 << x)
+        return not target or not self._reach(1 << x, (und,), target, block) & target
+
+    def _is_clique(self, m):
+        und = self.und
+        for v in _bits(m):
+            m ^= 1 << v
+            if m & ~und[v]:
+                return False
+        return True
 
 
 def apply_move(state, move):
@@ -160,12 +343,11 @@ def apply_move(state, move):
 
     Returns the literal edit when it is an essential graph, and None when
     the move is rejected: a precondition fails or the edit is not essential.
-    Accepting only essential edits is what makes the kernel symmetric.
+    Accepting only essential edits is what makes the kernel symmetric.  This
+    is ``MaskState.try_move`` on a fresh copy of ``state``.
     """
-    edited = _edit(state, move)
-    if edited is None or not is_essential_graph(edited):
-        return None
-    return edited
+    s = MaskState(state)
+    return s.pdag() if s.try_move(move) else None
 
 
 def propose(n, rng):
@@ -173,63 +355,72 @@ def propose(n, rng):
 
     Returns None when the drawn kind has no valid tuple (immorality kinds
     need three vertices, edge kinds two); the step counts as a rejection.
+    Each later vertex is a uniform index into the vertices not yet drawn,
+    in increasing order.
     """
     kind = MOVE_KINDS[int(rng.integers(6))]
     if n < (3 if "immorality" in kind else 2):
         return None
     if "immorality" in kind:
         b = int(rng.integers(n))
-        rest = [v for v in range(n) if v != b]
-        i = int(rng.integers(len(rest)))
-        j = int(rng.integers(len(rest) - 1))
-        a = rest[i]
-        c = [v for v in rest if v != a][j]
+        i = int(rng.integers(n - 1))
+        j = int(rng.integers(n - 2))
+        a = i + (i >= b)
+        lo, hi = (a, b) if a < b else (b, a)
+        c = j + (j >= lo)
+        c += c >= hi
         a, c = min(a, c), max(a, c)
         return Move(kind, (a, b, c))
     u = int(rng.integers(n))
-    v = [x for x in range(n) if x != u][int(rng.integers(n - 1))]
+    j = int(rng.integers(n - 1))
+    v = j + (j >= u)
     if "line" in kind:
         u, v = min(u, v), max(u, v)
     return Move(kind, (u, v))
 
 
 def step(state, rng):
-    """One lazy chain step; stays at ``state`` when the proposal is rejected."""
+    """One lazy chain step on the ``MaskState`` ``state``, in place; the
+    state is unchanged when the proposal is rejected."""
     move = propose(state.n, rng)
     if move is None:
         return state, move, False
-    result = apply_move(state, move)
-    if result is None:
-        return state, move, False
-    return result, move, True
+    return state, move, state.try_move(move)
+
+
+def _candidates(s):
+    """Every move whose tuple fits the marks of the mask state ``s``: line
+    and immorality tuples in sorted order only."""
+    n, adj = s.n, s.adj
+    moves = []
+    for u, v in itertools.permutations(range(n), 2):
+        if not adj[u] >> v & 1:
+            moves.append(Move("insert-arc", (u, v)))
+            if u < v:
+                moves.append(Move("insert-line", (u, v)))
+    moves += [Move("delete-arc", arc) for arc in sorted(s.arcs)]
+    moves += [Move("delete-line", line) for line in sorted(s.lines)]
+    for b in range(n):
+        for kind, ends in (("make-immorality", s.und[b]), ("remove-immorality", s.par[b])):
+            for a, c in itertools.combinations(_bits(ends), 2):
+                if not adj[a] >> c & 1:
+                    moves.append(Move(kind, (a, b, c)))
+    return moves
+
+
+def _accepted(s):
+    """Yield (move, key of the result) for every move accepted from the mask
+    state ``s``, which is back as it was after each."""
+    for m in _candidates(s):
+        if s.try_move(m):
+            yield m, s.key()
+            s.undo(m)
 
 
 def legal_moves(state):
     """All (move, result) pairs with a precondition-satisfying tuple that are
     accepted from ``state``."""
-    n = state.n
-    moves = []
-    for u, v in itertools.permutations(range(n), 2):
-        if not state.adjacent(u, v):
-            moves.append(Move("insert-arc", (u, v)))
-            if u < v:
-                moves.append(Move("insert-line", (u, v)))
-    moves += [Move("delete-arc", arc) for arc in sorted(state.arcs)]
-    moves += [Move("delete-line", line) for line in sorted(state.lines)]
-    for b in range(n):
-        for kind, ends in (
-            ("make-immorality", state.undirected_neighbors[b]),
-            ("remove-immorality", state.parents[b]),
-        ):
-            for a, c in itertools.combinations(sorted(ends), 2):
-                if not state.adjacent(a, c):
-                    moves.append(Move(kind, (a, b, c)))
-    out = []
-    for m in moves:
-        r = apply_move(state, m)
-        if r is not None:
-            out.append((m, r))
-    return out
+    return [(m, Pdag(*key)) for m, key in _accepted(MaskState(state))]
 
 
 def _breadth_first(start, depth=None):
@@ -246,10 +437,10 @@ def _breadth_first(start, depth=None):
         if depth is not None and levels[i] == depth:
             break
         row = []
-        for m, r in legal_moves(states[i]):
-            j = index.setdefault(r.key(), len(states))
+        for m, key in _accepted(MaskState(states[i])):
+            j = index.setdefault(key, len(states))
             if j == len(states):
-                states.append(r)
+                states.append(Pdag(*key))
                 levels.append(levels[i] + 1)
             row.append((m, j))
         moves.append(row)

@@ -14,8 +14,9 @@ of every unvisited vertex per step.
 import itertools
 
 from mecmc.amo import peo_orientation
-from mecmc.essential import mec_of_dag
+from mecmc.essential import is_essential_graph, is_strongly_protected, mec_of_dag
 from mecmc.graphs import Pdag, edge_key, is_acyclic, require_chordal, skeleton
+from mecmc.hjy import MOVE_KINDS, Move
 
 
 class Amo:
@@ -272,3 +273,101 @@ def maximum_cardinality_search_by_scan(g, start=0):
                 weight[w] += 1
         current = None
     return order
+
+
+def _edit(state, move):
+    """The literal edit of ``move`` on ``state`` as a Pdag, or None when a
+    precondition fails: a repeated vertex, an insert on an adjacent pair, a
+    delete of a missing edge, an immorality whose outer vertices are
+    adjacent or whose two edges are not both lines (make) or both arcs into
+    the middle vertex (remove)."""
+    kind = move.kind
+    arcs = set(state.arcs)
+    lines = set(state.lines)
+    if "immorality" in kind:
+        a, b, c = move.vertices
+        if len({a, b, c}) != 3 or state.adjacent(a, c):
+            return None
+        pair_lines = {edge_key(a, b), edge_key(b, c)}
+        pair_arcs = {(a, b), (c, b)}
+        if kind == "make-immorality":
+            if not pair_lines <= lines:
+                return None
+            lines -= pair_lines
+            arcs |= pair_arcs
+        else:
+            if not pair_arcs <= arcs:
+                return None
+            arcs -= pair_arcs
+            lines |= pair_lines
+    else:
+        u, v = move.vertices
+        if u == v:
+            return None
+        if kind.startswith("insert"):
+            if state.adjacent(u, v):
+                return None
+            if kind == "insert-arc":
+                arcs.add((u, v))
+            else:
+                lines.add(edge_key(u, v))
+        elif kind == "delete-arc":
+            if (u, v) not in arcs:
+                return None
+            arcs.remove((u, v))
+        else:
+            if edge_key(u, v) not in lines:
+                return None
+            lines.remove(edge_key(u, v))
+    return Pdag(state.n, arcs, lines)
+
+
+def apply_move_by_full_test(state, move):
+    """The HJY chain's acceptance rule, tested on the whole edited graph:
+    the literal edit when all four conditions of ``is_essential_graph``
+    hold, None otherwise."""
+    edited = _edit(state, move)
+    if edited is None or not is_essential_graph(edited):
+        return None
+    return edited
+
+
+def propose_by_lists(n, rng):
+    """``hjy.propose`` with each later vertex picked from an explicit list
+    of the vertices not yet drawn; the same draws give the same move."""
+    kind = MOVE_KINDS[int(rng.integers(6))]
+    if n < (3 if "immorality" in kind else 2):
+        return None
+    if "immorality" in kind:
+        b = int(rng.integers(n))
+        rest = [v for v in range(n) if v != b]
+        i = int(rng.integers(len(rest)))
+        j = int(rng.integers(len(rest) - 1))
+        a = rest[i]
+        c = [v for v in rest if v != a][j]
+        a, c = min(a, c), max(a, c)
+        return Move(kind, (a, b, c))
+    u = int(rng.integers(n))
+    v = [x for x in range(n) if x != u][int(rng.integers(n - 1))]
+    if "line" in kind:
+        u, v = min(u, v), max(u, v)
+    return Move(kind, (u, v))
+
+
+def essential_graph_by_fixed_point(d):
+    """Essential graph by undirecting the lexicographically smallest arc
+    that is not strongly protected, rebuilding the graph and rescanning
+    every arc after each one."""
+    arcs = set(d.arcs)
+    lines = set()
+    while True:
+        p = Pdag(d.n, arcs, lines)
+        weak = None
+        for arc in sorted(arcs):
+            if not is_strongly_protected(p, arc):
+                weak = arc
+                break
+        if weak is None:
+            return p
+        arcs.remove(weak)
+        lines.add(edge_key(*weak))

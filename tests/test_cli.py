@@ -468,7 +468,8 @@ def test_hjy_steps_zero_and_small_n(tmp_path):
 
 
 def test_hjy_on_many_vertices(tmp_path):
-    # every step checks chordality of a 20,000-vertex graph
+    # a step tests only the edited vertices and the chain components they
+    # touch, never the 20,000 vertices as a whole
     out = tmp_path / "run.jsonl"
     assert main(["hjy", "--nmax", "20000", "--steps", "3", "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]

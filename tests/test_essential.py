@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+from mecmc import essential
 from mecmc.essential import (
     class_members,
     class_size,
@@ -21,7 +22,7 @@ from mecmc.essential import (
 )
 from mecmc.graphs import Dag, Pdag, edge_key, immoralities, skeleton
 
-from oracles import essential_graph_by_intersection
+from oracles import essential_graph_by_fixed_point, essential_graph_by_intersection
 from strategies import small_dags
 
 # Distinct essential graphs on n vertices, frozen from the exhaustive
@@ -137,6 +138,38 @@ def test_fixpoint_matches_intersection_exhaustive():
     for n in (1, 2, 3, 4):
         for d in enumerate_dags(n):
             assert essential_graph_of_dag(d) == essential_graph_by_intersection(d)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_dags(max_n=7))
+def test_worklist_matches_fixed_point(d):
+    assert essential_graph_of_dag(d) == essential_graph_by_fixed_point(d)
+
+
+def test_worklist_matches_fixed_point_exhaustive():
+    dags = enumerate_dags(4)
+    assert len(dags) == 543
+    for d in dags:
+        assert essential_graph_of_dag(d) == essential_graph_by_fixed_point(d)
+
+
+def test_worklist_retests_only_arcs_at_undirected_ones(monkeypatch):
+    # on a directed path every arc is unprotected; each undirection puts at
+    # most the two arcs next to it back on the heap, where a rescan after
+    # each one would test about n^2 / 2 arcs
+    n = 2000
+    calls = []
+    protected = essential.is_strongly_protected
+
+    def counted(p, arc):
+        calls.append(arc)
+        return protected(p, arc)
+
+    monkeypatch.setattr(essential, "is_strongly_protected", counted)
+    eg = essential_graph_of_dag(Dag(n, [(i, i + 1) for i in range(n - 1)]))
+    assert eg.arcs == frozenset()
+    assert len(eg.lines) == n - 1
+    assert len(calls) <= 3 * (n - 1)
 
 
 def test_essential_graph_respects_equivalence():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -111,6 +112,18 @@ def test_isolated_vertices_share_one_empty_set(cls, tables):
         assert len(table) == 100_000
         assert len({id(s) for s in table}) == 1
         assert table[0] == frozenset()
+
+
+def test_edgeless_dag_parse_peak_memory():
+    # per-vertex tables are filled only for vertices with edges; an edgeless
+    # header holds three shared-empty tuples and peaked at 200 MB when every
+    # vertex got its own empty set first
+    tracemalloc.start()
+    d = parse_dag("n 300000")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert d.n == 300_000 and not d.arcs
+    assert peak < 50_000_000
 
 
 def test_pdag_validation():

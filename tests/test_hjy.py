@@ -16,6 +16,7 @@ from mecmc.essential import (
 from mecmc.graphs import Dag, Pdag, immoralities, skeleton
 from mecmc.hjy import (
     MOVE_KINDS,
+    MaskState,
     Move,
     _mark,
     apply_move,
@@ -33,6 +34,7 @@ from mecmc.hjy import (
     two_step_path,
 )
 
+from oracles import apply_move_by_full_test, propose_by_lists
 from strategies import small_dags
 
 
@@ -186,6 +188,7 @@ def test_apply_move_agrees_with_repair_rule_n4(states4):
         for m in all_moves(4):
             got = apply_move(s, m)
             assert got == repair_rule(s, m), (s, m)
+            assert got == apply_move_by_full_test(s, m), (s, m)
             pairs += 1
             # legal_moves lists line and immorality tuples in sorted order only
             if got is not None and ("arc" in m.kind or m.vertices[0] < m.vertices[-1]):
@@ -194,19 +197,43 @@ def test_apply_move_agrees_with_repair_rule_n4(states4):
     assert pairs == 17_760
 
 
-@pytest.mark.parametrize("n, seed", [(6, 61), (8, 83)])
+@pytest.mark.parametrize(
+    "n, seed", [(6, 61), (8, 83), (10, 101), (20, 211), (40, 409)]
+)
 def test_apply_move_agrees_with_repair_rule_on_walks(n, seed):
+    # the walk also runs on one MaskState edited in place, as the CLI runs
+    # it; every verdict and every state match the four-condition test of
+    # the literal edit
     rng = np.random.default_rng(seed)
     state = Pdag(n, [], [])
+    walk = MaskState(state)
     accepted = 0
     for _ in range(3000):
         move = propose(n, rng)
         got = apply_move(state, move)
         assert got == repair_rule(state, move), (state, move)
+        assert got == apply_move_by_full_test(state, move), (state, move)
+        assert walk.try_move(move) == (got is not None), (state, move)
         if got is not None:
             state = got
             accepted += 1
+        assert walk.key() == state.key()
     assert accepted > 100
+    fresh = MaskState(state)
+    assert (fresh.par, fresh.chi, fresh.und, fresh.adj) == (
+        walk.par,
+        walk.chi,
+        walk.und,
+        walk.adj,
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 57])
+def test_propose_matches_list_picks(n):
+    fast = np.random.default_rng(n)
+    lists = np.random.default_rng(n)
+    for _ in range(20_000):
+        assert propose(n, fast) == propose_by_lists(n, lists)
 
 
 def test_accepted_moves_are_literal_edits_n4(states4):
@@ -311,6 +338,14 @@ def test_exact_kernel_n3(states3):
 def test_exact_kernel_n4(states4):
     assert len(states4) == 185
     kernel_checks(4, states4)
+
+
+def test_exact_kernel_n5():
+    states, K = exact_kernel(Pdag(5, (), ()))
+    assert len(states) == 8782
+    for i, row in enumerate(K):
+        assert sum(row.values()) == 1
+        assert all(K[j].get(i) == w for j, w in row.items())
 
 
 def test_exact_kernel_stores_only_existing_moves():
@@ -471,12 +506,15 @@ def test_propose_step_and_hash():
             assert vs[0] < vs[2]
     assert seen_kinds == set(MOVE_KINDS)
 
-    s = Pdag(3, [], [])
+    s = MaskState(Pdag(3, [], []))
     visited = {s.key()}
     hashes = {state_hash(s)}
     for _ in range(4000):
+        before = s.key()
         s, move, accepted = step(s, rng)
-        assert is_essential_graph(s)
+        assert accepted or s.key() == before
+        assert is_essential_graph(s.pdag())
+        assert state_hash(s) == state_hash(s.pdag())
         visited.add(s.key())
         hashes.add(state_hash(s))
     assert len(visited) == 11
