@@ -76,12 +76,17 @@ def state_cap():
 
 
 def _emit(text, out):
+    """Write a string, or an iterable of strings as it yields them, to the
+    file ``out`` or to stdout.  The file opens before the first string is
+    asked for, so an unwritable ``out`` fails before any work is done."""
+    if isinstance(text, str):
+        text = (text,)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
     except OSError as e:
         raise ValueError(f"cannot write {out}: {e}")
 
@@ -286,29 +291,33 @@ def cmd_mec(args):
 
 
 def cmd_hjy(args):
+    _emit(_hjy_records(args), args.out)
+    return 0
+
+
+def _hjy_records(args):
+    """The walk's JSON lines, each yielded as soon as its step is taken."""
     n = args.nmax
     config = RunConfig(subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n)
     rng = np.random.default_rng(args.seed)
     state = hjy.MaskState(Pdag(n))
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
-    lines = [encode({"config": config.to_dict()})]
+    yield encode({"config": config.to_dict()}) + "\n"
     digest = hjy.state_hash(state)
-    lines.append(encode({"step": 0, "state": digest}))
+    yield encode({"step": 0, "state": digest}) + "\n"
     for t in range(1, args.steps + 1):
         state, move, accepted = hjy.step(state, rng)
         if accepted:  # a rejected step leaves the state as it was
             digest = hjy.state_hash(state)
-        lines.append(
-            encode(
-                {
-                    "step": t,
-                    "kind": move.kind if move else None,
-                    "vertices": list(move.vertices) if move else None,
-                    "accepted": accepted,
-                    "state": digest,
-                }
-            )
-        )
+        yield encode(
+            {
+                "step": t,
+                "kind": move.kind if move else None,
+                "vertices": list(move.vertices) if move else None,
+                "accepted": accepted,
+                "state": digest,
+            }
+        ) + "\n"
     if n <= 4:
         states, kernel = hjy.exact_kernel(Pdag(n, (), ()))
         m = len(states)
@@ -318,20 +327,15 @@ def cmd_hjy(args):
             for j, w in row.items()
         )
         doubly = symmetric and all(sum(row.values()) == 1 for row in kernel)
-        lines.append(
-            encode(
-                {
-                    "uniformity": {
-                        "n_states": m,
-                        "symmetric": symmetric,
-                        "uniform_stationary": doubly,
-                    }
+        yield encode(
+            {
+                "uniformity": {
+                    "n_states": m,
+                    "symmetric": symmetric,
+                    "uniform_stationary": doubly,
                 }
-            )
-        )
-    lines.append("")  # the final newline, without a second copy of the text
-    _emit("\n".join(lines), args.out)
-    return 0
+            }
+        ) + "\n"
 
 
 def _at_least(low):

@@ -24,16 +24,9 @@ from .graphs import (
     immoralities,
     is_acyclic,
     is_chordal,
-    skeleton,
 )
 
 MEC_ENUM_CAP = 1 << 22
-
-
-def markov_equivalent(d1, d2):
-    if d1.n != d2.n:
-        return False
-    return skeleton(d1) == skeleton(d2) and immoralities(d1) == immoralities(d2)
 
 
 def mec_of_dag(d):
@@ -43,7 +36,7 @@ def mec_of_dag(d):
     ones with the same immoralities.  This is the reference oracle; use
     ``class_size`` for counting and ``class_members`` for listing.
     """
-    edges = sorted(skeleton(d).edges)
+    edges = sorted(d.skeleton().edges)
     if 2 ** len(edges) > MEC_ENUM_CAP:
         raise CapExceededError(f"2^{len(edges)} orientations exceed cap {MEC_ENUM_CAP}")
     target = immoralities(d)

@@ -152,15 +152,6 @@ def sample_many(space, steps, count, rng):
     return x
 
 
-def exact_distribution(tm, start, steps):
-    """Distribution after ``steps`` steps from state ``start`` (matrix powers)."""
-    mu = np.zeros(tm.dimension)
-    mu[start] = 1.0
-    for _ in range(steps):
-        mu = mu @ tm.matrix
-    return mu
-
-
 def empirical_tv(space, steps, samples, rng):
     """Total variation distance between an empirical histogram and uniform."""
     final = sample_many(space, steps, samples, rng)

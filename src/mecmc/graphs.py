@@ -52,78 +52,13 @@ def edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
-class UndirectedGraph:
-    """A simple undirected graph with a fixed vertex count."""
-
-    def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        norm = set()
-        for u, v in edges:
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-            norm.add(edge_key(u, v))
-        self.edges = frozenset(norm)
-        adj = defaultdict(set)
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = _freeze(n, adj)
-
-    def has_edge(self, u, v):
-        return u != v and edge_key(u, v) in self.edges
-
-    def degree(self, v):
-        return len(self.adj[v])
-
-    @property
-    def num_edges(self):
-        return len(self.edges)
-
-    def vertices(self):
-        return range(self.n)
-
-    def connected_components(self):
-        """Vertex sets of the connected components, each sorted."""
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
-
-    def is_connected(self):
-        return self.n <= 1 or len(self.connected_components()) == 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UndirectedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"UndirectedGraph(n={self.n}, m={len(self.edges)})"
-
-
 class Pdag:
-    """A partially directed graph: a set of arcs plus a set of lines."""
+    """A partially directed graph: a set of arcs plus a set of lines.
+    ``Dag`` (no lines) and ``UndirectedGraph`` (no arcs) are its subclasses."""
 
     def __init__(self, n, arcs=(), lines=()):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         self.n = n
         arc_set = set()
         for u, v in arcs:
@@ -184,6 +119,49 @@ class Pdag:
         )
 
 
+class UndirectedGraph(Pdag):
+    """A simple undirected graph: a ``Pdag`` without arcs, whose ``edges`` are
+    its lines and whose ``adj`` is its undirected-neighbour table.  It equals,
+    and hashes like, the ``Pdag`` with the same lines."""
+
+    def __init__(self, n, edges=()):
+        super().__init__(n, (), edges)
+        self.edges = self.lines
+        self.adj = self.undirected_neighbors
+
+    def has_edge(self, u, v):
+        return u != v and edge_key(u, v) in self.edges
+
+    def degree(self, v):
+        return len(self.adj[v])
+
+    @property
+    def num_edges(self):
+        return len(self.edges)
+
+    def connected_components(self):
+        """Vertex sets of the connected components, each sorted."""
+        seen = [False] * self.n
+        out = []
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            comp, stack = [], [s]
+            seen[s] = True
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for w in self.adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            out.append(sorted(comp))
+        return out
+
+    def is_connected(self):
+        return self.n <= 1 or len(self.connected_components()) == 1
+
+
 class Dag(Pdag):
     """A directed acyclic graph: a ``Pdag`` without lines (Andersson, Madigan
     & Perlman, 1997) whose construction also rejects directed cycles.  It
@@ -195,40 +173,28 @@ class Dag(Pdag):
             raise ValueError("arc set contains a directed cycle")
 
     def topological_order(self):
-        indeg = [len(self.parents[v]) for v in range(self.n)]
-        ready = deque(sorted(v for v in range(self.n) if indeg[v] == 0))
-        order = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for w in sorted(self.children[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        return order
+        return _kahn_order(self.n, self.arcs)
 
 
-def is_acyclic(n, arcs):
-    """Kahn's algorithm on a candidate arc set."""
+def _kahn_order(n, arcs):
+    """Kahn's algorithm: the vertices in an order that puts every arc's tail
+    before its head, leaving out every vertex that a directed cycle reaches."""
     indeg = [0] * n
     children = {}
     for u, v in arcs:
         indeg[v] += 1
         children.setdefault(u, []).append(v)
-    ready = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    for v in order:  # the loop also visits the vertices appended below
         for w in children.get(v, ()):
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-    return seen == n
+                order.append(w)
+    return order
 
 
-def skeleton(d):
-    return UndirectedGraph(d.n, (edge_key(u, v) for u, v in d.arcs))
+def is_acyclic(n, arcs):
+    return len(_kahn_order(n, arcs)) == n
 
 
 def immoralities(d):
@@ -603,11 +569,3 @@ def format_graph(n, lines=(), arcs=()):
 
 def format_pdag(p):
     return format_graph(p.n, p.lines, p.arcs)
-
-
-def format_dag(d):
-    return format_graph(d.n, (), d.arcs)
-
-
-def format_undirected(g):
-    return format_graph(g.n, g.edges, ())

@@ -186,13 +186,13 @@ def singleton_class_count_bruteforce(n):
     """Count size-1 equivalence classes by grouping DAGs on their class
     signature (skeleton, immoralities).  Desk scale: n <= 5."""
     from .essential import enumerate_dags
-    from .graphs import immoralities, skeleton
+    from .graphs import immoralities
 
     if n > 5:
         raise ValueError("brute-force singleton count capped at n = 5")
     sizes = {}
     for d in enumerate_dags(n):
-        sig = (skeleton(d).edges, immoralities(d))
+        sig = (d.skeleton().edges, immoralities(d))
         sizes[sig] = sizes.get(sig, 0) + 1
     return sum(1 for v in sizes.values() if v == 1)
 

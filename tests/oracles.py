@@ -8,14 +8,18 @@ chain step on one ``Amo``, and the essential graph as the arcs shared by
 every member of the class.  Two whole-graph routines are kept in their
 earlier form: the AMO count as the He-Jia-Yu root-peeling recursion that
 re-solves every rooted subproblem, and maximum cardinality search as a scan
-of every unvisited vertex per step.
+of every unvisited vertex per step.  Markov equivalence is tested on the
+definition (equal skeletons and immoralities), and the flip chain's law
+after t steps comes from t vector-matrix products.
 """
 
 import itertools
 
+import numpy as np
+
 from mecmc.amo import peo_orientation
 from mecmc.essential import is_essential_graph, is_strongly_protected, mec_of_dag
-from mecmc.graphs import Pdag, edge_key, is_acyclic, require_chordal, skeleton
+from mecmc.graphs import Pdag, edge_key, immoralities, is_acyclic, require_chordal
 from mecmc.hjy import MOVE_KINDS, Move
 
 
@@ -157,7 +161,7 @@ def essential_graph_by_intersection(d):
     common = frozenset.intersection(*(m.arcs for m in members))
     lines = {
         edge_key(u, v)
-        for u, v in skeleton(d).edges
+        for u, v in d.skeleton().edges
         if (u, v) not in common and (v, u) not in common
     }
     return Pdag(d.n, common, lines)
@@ -371,3 +375,18 @@ def essential_graph_by_fixed_point(d):
             return p
         arcs.remove(weak)
         lines.add(edge_key(*weak))
+
+
+def markov_equivalent(d1, d2):
+    if d1.n != d2.n:
+        return False
+    return d1.skeleton() == d2.skeleton() and immoralities(d1) == immoralities(d2)
+
+
+def exact_distribution(tm, start, steps):
+    """Distribution after ``steps`` steps from state ``start`` (matrix powers)."""
+    mu = np.zeros(tm.dimension)
+    mu[start] = 1.0
+    for _ in range(steps):
+        mu = mu @ tm.matrix
+    return mu

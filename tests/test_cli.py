@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,8 @@ from mecmc import flipchain
 from mecmc.cli import main
 from mecmc.graphs import (
     complete_graph,
-    format_dag,
     format_graph,
-    format_undirected,
+    format_pdag,
     glued_clique_chain,
     path_graph,
     star_graph,
@@ -32,7 +32,7 @@ from strategies import small_dags, small_graphs
 @pytest.fixture
 def k3_file(tmp_path):
     p = tmp_path / "k3.txt"
-    p.write_text(format_undirected(complete_graph(3)))
+    p.write_text(format_pdag(complete_graph(3)))
     return str(p)
 
 
@@ -83,7 +83,7 @@ def test_sample_amo_covers_all_orientations(k3_file, tmp_path):
 
 def test_sample_amo_tree_sources(tmp_path):
     p = tmp_path / "star.txt"
-    p.write_text(format_undirected(star_graph(4)))
+    p.write_text(format_pdag(star_graph(4)))
     payload = run_to_json(
         ["sample-amo", "--input", str(p), "--steps", "80", "--samples", "600"],
         tmp_path,
@@ -187,7 +187,7 @@ def test_missing_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("sub", ["sample-amo", "diagnose", "ratio", "mec", "hjy"])
 def test_unwritable_out_exits_2(k3_file, tmp_path, capsys, sub, where):
     dag = tmp_path / "arc.txt"
-    dag.write_text(format_dag(Dag(2, [(0, 1)])))
+    dag.write_text(format_pdag(Dag(2, [(0, 1)])))
     argv = {
         "sample-amo": ["sample-amo", "--input", k3_file, "--samples", "3"],
         "diagnose": ["diagnose", "--input", k3_file],
@@ -204,14 +204,14 @@ def test_unwritable_out_exits_2(k3_file, tmp_path, capsys, sub, where):
 
 def test_directed_input_where_undirected_expected(tmp_path, capsys):
     p = tmp_path / "dag.txt"
-    p.write_text(format_dag(Dag(2, [(0, 1)])))
+    p.write_text(format_pdag(Dag(2, [(0, 1)])))
     assert main(["diagnose", "--input", str(p)]) == 2
     assert "undirected" in capsys.readouterr().err
 
 
 def test_state_cap_exits_3(tmp_path, capsys, monkeypatch):
     p = tmp_path / "glued.txt"
-    p.write_text(format_undirected(glued_clique_chain([4, 4], [2])))
+    p.write_text(format_pdag(glued_clique_chain([4, 4], [2])))
     monkeypatch.setenv("MECMC_STATE_CAP", "10")
     rc = main(["diagnose", "--input", str(p)])
     assert rc == 3
@@ -228,7 +228,7 @@ def test_clique_beyond_the_cap_exits_3(tmp_path, capsys, monkeypatch, sub, n):
     # the count behind the cap check is n! read off directly, not a search
     monkeypatch.delenv("MECMC_STATE_CAP", raising=False)
     p = tmp_path / "clique.txt"
-    p.write_text(format_undirected(complete_graph(n)))
+    p.write_text(format_pdag(complete_graph(n)))
     assert main([sub, "--input", str(p)]) == 3
     err = capsys.readouterr().err
     assert f"|AMO| = {math.factorial(n)} exceeds cap 5000000\n" in err
@@ -237,7 +237,7 @@ def test_clique_beyond_the_cap_exits_3(tmp_path, capsys, monkeypatch, sub, n):
 
 def test_diagnose_slow_mixing_instance(tmp_path):
     p = tmp_path / "glued.txt"
-    p.write_text(format_undirected(glued_clique_chain([4, 4], [2])))
+    p.write_text(format_pdag(glued_clique_chain([4, 4], [2])))
     payload = run_to_json(["diagnose", "--input", str(p)], tmp_path)
     assert payload["n_states"] == 88
     assert payload["phi"] == "1/55"
@@ -278,13 +278,13 @@ def test_diagnose_reports_spectrum_and_null_reasons(k3_file, tmp_path):
     assert nulls == set(payload["null_reasons"])
 
     p = tmp_path / "glued.txt"
-    p.write_text(format_undirected(glued_clique_chain([4, 4], [2])))
+    p.write_text(format_pdag(glued_clique_chain([4, 4], [2])))
     payload = run_to_json(["diagnose", "--input", str(p)], tmp_path, "glued.json")
     assert payload["spectrum"] == "dense" and payload["null_reasons"] == {}
 
     # the single edge flips back and forth forever: period 2, never mixed
     p = tmp_path / "edge.txt"
-    p.write_text(format_undirected(path_graph(2)))
+    p.write_text(format_pdag(path_graph(2)))
     payload = run_to_json(["diagnose", "--input", str(p)], tmp_path, "edge.json")
     assert payload["tmix_exact"] is None
     assert payload["null_reasons"]["tmix_exact"] == (
@@ -294,7 +294,7 @@ def test_diagnose_reports_spectrum_and_null_reasons(k3_file, tmp_path):
 
 def test_diagnose_k7_takes_the_sparse_path(tmp_path):
     p = tmp_path / "k7.txt"
-    p.write_text(format_undirected(complete_graph(7)))
+    p.write_text(format_pdag(complete_graph(7)))
     payload = run_to_json(["diagnose", "--input", str(p)], tmp_path)
     assert payload["n_states"] == 5040
     assert payload["spectrum"] == "sparse"
@@ -395,7 +395,7 @@ def test_ratio_json(tmp_path):
 
 def test_mec_single_arc(tmp_path):
     p = tmp_path / "arc.txt"
-    p.write_text(format_dag(Dag(2, [(0, 1)])))
+    p.write_text(format_pdag(Dag(2, [(0, 1)])))
     payload = run_to_json(["mec", "--input", str(p)], tmp_path)
     assert payload["essential_graph"] == "n 2\n0 -- 1\n"
     assert payload["class_size"] == "2"
@@ -404,7 +404,7 @@ def test_mec_single_arc(tmp_path):
 
 def test_mec_immorality_is_its_own_class(tmp_path):
     p = tmp_path / "imm.txt"
-    p.write_text(format_dag(Dag(3, [(0, 2), (1, 2)])))
+    p.write_text(format_pdag(Dag(3, [(0, 2), (1, 2)])))
     payload = run_to_json(["mec", "--input", str(p)], tmp_path)
     assert payload["essential_graph"] == "n 3\n0 -> 2\n1 -> 2\n"
     assert payload["class_size"] == "1"
@@ -413,7 +413,7 @@ def test_mec_immorality_is_its_own_class(tmp_path):
 
 def test_mec_full_k3(tmp_path):
     p = tmp_path / "k3dag.txt"
-    p.write_text(format_dag(Dag(3, [(0, 1), (0, 2), (1, 2)])))
+    p.write_text(format_pdag(Dag(3, [(0, 1), (0, 2), (1, 2)])))
     payload = run_to_json(["mec", "--input", str(p)], tmp_path)
     assert payload["essential_graph"] == "n 3\n0 -- 1\n0 -- 2\n1 -- 2\n"
     assert payload["class_size"] == "6"
@@ -423,7 +423,7 @@ def test_mec_full_k3(tmp_path):
 def test_mec_total_order_counts_without_listing(tmp_path):
     # every DAG on the complete skeleton is in the class of the total order
     p = tmp_path / "order.txt"
-    p.write_text(format_dag(Dag(10, itertools.combinations(range(10), 2))))
+    p.write_text(format_pdag(Dag(10, itertools.combinations(range(10), 2))))
     payload = run_to_json(["mec", "--input", str(p)], tmp_path)
     assert payload["class_size"] == "3628800" and payload["members"] is None
 
@@ -474,6 +474,21 @@ def test_hjy_on_many_vertices(tmp_path):
     assert main(["hjy", "--nmax", "20000", "--steps", "3", "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r.get("step") for r in records] == [None, 0, 1, 2, 3]
+
+
+def test_hjy_streams_its_records(tmp_path):
+    # each record is written as its step is taken, so the peak does not grow
+    # with --steps; a list of all 20,000 records takes about 8 MB
+    out = tmp_path / "run.jsonl"
+    tracemalloc.start()
+    try:
+        rc = main(["hjy", "--nmax", "10", "--steps", "20000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 20_002
+    assert peak < 3_000_000
 
 
 # sha256 of the `mecmc hjy` output, recorded while apply_move still repaired
@@ -533,7 +548,7 @@ def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatc
     # mec lists members from the essential graph: a 25-edge skeleton whose
     # class is one DAG needs no cap at all
     p = tmp_path / "k55.txt"
-    k55 = format_dag(Dag(10, [(u, v) for u in range(5) for v in range(5, 10)]))
+    k55 = format_pdag(Dag(10, [(u, v) for u in range(5) for v in range(5, 10)]))
     p.write_text(k55)
     payload = run_to_json(["mec", "--input", str(p)], tmp_path)
     assert payload["class_size"] == "1" and payload["members"] == [k55]
@@ -541,7 +556,7 @@ def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatc
     # the dense spectrum cap of diagnose is fixed as well
     monkeypatch.setattr(flipchain, "DENSE_SPECTRUM_CAP", 5)
     p = tmp_path / "k3.txt"
-    p.write_text(format_undirected(complete_graph(3)))
+    p.write_text(format_pdag(complete_graph(3)))
     assert main(["diagnose", "--input", str(p)]) == 3
     err = capsys.readouterr().err
     assert "dense spectrum cap 5" in err and "MECMC_STATE_CAP" not in err
@@ -570,7 +585,7 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
 
 def test_sample_amo_path_beyond_64_vertices(tmp_path):
     p = tmp_path / "path70.txt"
-    p.write_text(format_undirected(path_graph(70)))
+    p.write_text(format_pdag(path_graph(70)))
     payload = run_to_json(
         ["sample-amo", "--input", str(p), "--steps", "30", "--samples", "50"],
         tmp_path,
@@ -588,8 +603,8 @@ NUMBERS = st.one_of(
     st.sampled_from(["", "x", "1.5", "-0", "1e2", "0x3", " 2", "--"]),
 )
 GRAPH_TEXT = st.one_of(
-    small_graphs(max_n=5).map(format_undirected),
-    small_dags(max_n=5).map(format_dag),
+    small_graphs(max_n=5).map(format_pdag),
+    small_dags(max_n=5).map(format_pdag),
     st.text(alphabet="n0123456789 -<>\n#x", max_size=40),
 )
 FLAGS = {

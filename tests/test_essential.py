@@ -16,13 +16,16 @@ from mecmc.essential import (
     essential_graph_of_dag,
     is_essential_graph,
     is_strongly_protected,
-    markov_equivalent,
     mec_of_dag,
     protected_directed_only,
 )
-from mecmc.graphs import Dag, Pdag, edge_key, immoralities, skeleton
+from mecmc.graphs import Dag, Pdag, edge_key, immoralities
 
-from oracles import essential_graph_by_fixed_point, essential_graph_by_intersection
+from oracles import (
+    essential_graph_by_fixed_point,
+    essential_graph_by_intersection,
+    markov_equivalent,
+)
 from strategies import small_dags
 
 # Distinct essential graphs on n vertices, frozen from the exhaustive
@@ -179,7 +182,7 @@ def test_essential_graph_respects_equivalence():
     for n in (2, 3, 4):
         by_signature = {}
         for d in enumerate_dags(n):
-            sig = (skeleton(d).edges, immoralities(d))
+            sig = (d.skeleton().edges, immoralities(d))
             by_signature.setdefault(sig, set()).add(
                 essential_graph_of_dag(d).key()
             )
@@ -238,7 +241,7 @@ def test_classification_sweep_shape():
 def test_essential_graph_skeleton_preserved(d):
     eg = essential_graph_of_dag(d)
     kept = {edge_key(u, v) for u, v in eg.arcs} | set(eg.lines)
-    assert kept == set(skeleton(d).edges)
+    assert kept == set(d.skeleton().edges)
     assert is_essential_graph(eg)
 
 

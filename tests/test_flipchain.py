@@ -13,7 +13,6 @@ from mecmc.flipchain import (
     comparison_bound,
     decomposition_stats,
     empirical_tv,
-    exact_distribution,
     exact_tmix,
     madras_randall_bound,
     move_table,
@@ -30,7 +29,7 @@ from mecmc.graphs import (
     glued_clique_chain,
     path_graph,
 )
-from oracles import Amo, flip_candidates, sample, step
+from oracles import Amo, exact_distribution, flip_candidates, sample, step
 
 MULTI_CLIQUE = (
     "path3",

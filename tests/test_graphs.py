@@ -13,7 +13,6 @@ from mecmc.graphs import (
     clique_tree,
     complete_graph,
     find_chordless_cycle,
-    format_dag,
     format_pdag,
     glued_clique_chain,
     has_partially_directed_cycle,
@@ -29,7 +28,6 @@ from mecmc.graphs import (
     path_graph,
     perfect_elimination_ordering,
     require_chordal,
-    skeleton,
     star_graph,
 )
 from oracles import maximum_cardinality_search_by_scan
@@ -65,8 +63,17 @@ def test_undirected_validation():
         UndirectedGraph(3, {(1, 1)})
     with pytest.raises(ValueError):
         UndirectedGraph(2, {(0, 2)})
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        UndirectedGraph(-1)
     g = UndirectedGraph(3, {(0, 1), (1, 0)})
     assert g.num_edges == 1
+    # an undirected graph is a Pdag without arcs, equal to and hashing like
+    # the Pdag with the same lines
+    p = Pdag(3, (), {(0, 1)})
+    assert isinstance(g, Pdag) and g.arcs == frozenset()
+    assert g == p and p == g and hash(g) == hash(p)
+    assert g != Pdag(3, {(0, 1)})
+    assert repr(g) == "UndirectedGraph(n=3, arcs=[], lines=[(0, 1)])"
 
 
 def test_is_acyclic_examples():
@@ -76,6 +83,8 @@ def test_is_acyclic_examples():
 
 
 def test_dag_validation():
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Dag(-2, [])
     with pytest.raises(ValueError, match="^arc set contains a directed cycle$"):
         Dag(3, {(0, 1), (1, 2), (2, 0)})
     with pytest.raises(ValueError, match="^arcs in both directions between 1 and 0$"):
@@ -99,7 +108,7 @@ def test_dag_validation():
 @pytest.mark.parametrize(
     "cls, tables",
     [
-        (UndirectedGraph, ("adj",)),
+        (UndirectedGraph, ("adj", "parents", "children", "undirected_neighbors")),
         (Pdag, ("parents", "children", "undirected_neighbors")),
         (Dag, ("parents", "children", "undirected_neighbors")),
     ],
@@ -127,6 +136,8 @@ def test_edgeless_dag_parse_peak_memory():
 
 
 def test_pdag_validation():
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Pdag(-1)
     with pytest.raises(ValueError):
         Pdag(3, {(0, 1)}, {(0, 1)})
     p = Pdag(3, {(0, 1)}, {(1, 2)})
@@ -134,9 +145,9 @@ def test_pdag_validation():
 
 
 def test_skeleton_examples():
-    assert skeleton(Dag(2, {(0, 1)})).edges == frozenset({(0, 1)})
-    assert skeleton(Dag(2, set())).edges == frozenset()
-    assert skeleton(Dag(3, {(0, 2), (1, 2)})).edges == frozenset(
+    assert Dag(2, {(0, 1)}).skeleton().edges == frozenset({(0, 1)})
+    assert Dag(2, set()).skeleton().edges == frozenset()
+    assert Dag(3, {(0, 2), (1, 2)}).skeleton().edges == frozenset(
         {(0, 2), (1, 2)}
     )
 
@@ -348,7 +359,7 @@ def test_parse_format_roundtrip_examples():
     assert p.lines == frozenset({(0, 1)}) and p.arcs == frozenset({(2, 3)})
     assert parse_pdag(format_pdag(p)) == p
     d = parse_dag("n 3\n0 -> 1\n1 -> 2\n")
-    assert parse_dag(format_dag(d)) == d
+    assert parse_dag(format_pdag(d)) == d
     g = parse_undirected("n 3\n0 -- 1\n")
     assert g.num_edges == 1
 
@@ -381,4 +392,4 @@ def test_parse_errors_name_the_line(text, lineno):
 @given(small_dags())
 @settings(max_examples=100, deadline=None)
 def test_format_parse_roundtrip_dags(d):
-    assert parse_dag(format_dag(d)) == d
+    assert parse_dag(format_pdag(d)) == d

@@ -13,7 +13,7 @@ from mecmc.essential import (
     essential_graph_of_dag,
     is_essential_graph,
 )
-from mecmc.graphs import Dag, Pdag, immoralities, skeleton
+from mecmc.graphs import Dag, Pdag, immoralities
 from mecmc.hjy import (
     MOVE_KINDS,
     MaskState,
@@ -91,7 +91,7 @@ def test_consistent_extension_examples():
     tri = Pdag(3, [], [(0, 1), (0, 2), (1, 2)])
     d = consistent_extension(tri)
     assert d is not None
-    assert skeleton(d).edges == tri.lines
+    assert d.skeleton().edges == tri.lines
     assert immoralities(d) == frozenset()
 
     forced = Pdag(3, [(0, 1)], [(1, 2)])
@@ -117,7 +117,7 @@ def test_consistent_extension_matches_brute_oracle(d, r):
     assert (got is not None) == brute_extension_exists(p)
     if got is not None:
         assert got.arcs >= p.arcs
-        assert skeleton(got).edges == p.skeleton().edges
+        assert got.skeleton().edges == p.skeleton().edges
         assert immoralities(got) == pdag_immoralities(p)
 
 
