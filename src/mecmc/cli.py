@@ -11,6 +11,7 @@ memory exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,10 +104,6 @@ def _read_input(path):
         raise ValueError(f"cannot read {path}: {e}")
 
 
-def _arc_string(key):
-    return ";".join(f"{u}>{v}" for u, v in key)
-
-
 def _orientation_space(path):
     """Flip graph of the connected chordal graph in ``path``, MECMC_STATE_CAP capped."""
     n, lines, arcs = parse_graph_text(_read_input(path))
@@ -138,7 +135,17 @@ def cmd_sample_amo(args):
     rng = np.random.default_rng(args.seed)
     final = flipchain.sample_many(space, args.steps, args.samples, rng)
     counts = np.bincount(final, minlength=space.size)
-    hist = {_arc_string(space.keys[i]): int(c) for i, c in enumerate(counts) if c > 0}
+    sampled = np.flatnonzero(counts)
+    keys = [space.keys[i] for i in sampled.tolist()]
+    # both arcs of every edge, as a histogram label part and as the line
+    # format_graph writes for it
+    label, line = {}, {}
+    for a, b in space.graph.edges:
+        for u, v in ((a, b), (b, a)):
+            label[u, v] = f"{u}>{v}"
+            line[u, v] = f"{u} -> {v}\n"
+    names = [";".join([label[arc] for arc in key]) for key in keys]
+    hist = dict(zip(names, counts[sampled].tolist()))
     if args.format == "csv":
         rows = [f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
         rows.append("orientation,count")
@@ -146,6 +153,7 @@ def cmd_sample_amo(args):
         rows.append(f"# n_states {space.size} distinct_sampled {len(hist)}")
         _emit("\n".join(rows) + "\n", args.out)
     else:
+        head = f"n {space.graph.n}\n"
         payload = {
             "config": config.to_dict(),
             "summary": {
@@ -155,11 +163,10 @@ def cmd_sample_amo(args):
                 "steps": args.steps,
             },
             "histogram": hist,
+            # keys are sorted arc tuples, so this is format_graph(n, (), key)
             "orientations": {
-                _arc_string(space.keys[i]): format_graph(
-                    space.graph.n, (), space.keys[i]
-                )
-                for i in sorted(set(final.tolist()))
+                name: head + "".join([line[arc] for arc in key])
+                for name, key in zip(names, keys)
             },
         }
         _emit(_dump_json(payload), args.out)
@@ -349,7 +356,10 @@ def _at_least(low):
     return integer
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, so every call to ``main`` can share it."""
     p = argparse.ArgumentParser(
         prog="mecmc",
         description="Sample and diagnose Markov chains on graph orientations "

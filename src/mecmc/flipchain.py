@@ -140,15 +140,21 @@ def move_table(space):
 
 def sample_many(space, steps, count, rng):
     """Vectorized replicas of the chain from the canonical PEO orientation;
-    returns final state indices."""
+    returns final state indices.
+
+    Each step is one gather from the flattened flip table: entry (x, e) of
+    the C-contiguous N x |E| table sits at x * |E| + e of its ``ravel()``
+    view, which shares the table's memory.
+    """
     start = bisect_left(space.keys, amo_mod.peo_orientation(space.graph))
     x = np.full(count, start, dtype=np.int64)
     m = space.graph.num_edges
     if m == 0:
         # edgeless graph: one state and no edge to propose, so no draws
         return x
+    flat = space.flip_table.ravel()
     for _ in range(steps):
-        x = space.flip_table[x, rng.integers(0, m, size=count)]
+        x = flat[x * m + rng.integers(0, m, size=count)]
     return x
 
 

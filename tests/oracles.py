@@ -5,7 +5,9 @@ flip graph as ``OrientationSpace``'s arrays.  The routines here do the same
 work one Python object at a time, in the most direct form: an ``Amo`` built
 from a key, the covered-edge and non-follower tests on parent sets, the
 chain step on one ``Amo``, and the essential graph as the arcs shared by
-every member of the class.  Two whole-graph routines are kept in their
+every member of the class.  The vectorized walk is kept indexing the 2-D
+flip table by (state, edge), and ``sample-amo``'s output formatting each
+sampled state from its key.  Two whole-graph routines are kept in their
 earlier form: the AMO count as the He-Jia-Yu root-peeling recursion that
 re-solves every rooted subproblem, and maximum cardinality search as a scan
 of every unvisited vertex per step.  Markov equivalence is tested on the
@@ -14,12 +16,20 @@ after t steps comes from t vector-matrix products.
 """
 
 import itertools
+import json
 
 import numpy as np
 
 from mecmc.amo import peo_orientation
 from mecmc.essential import is_essential_graph, is_strongly_protected, mec_of_dag
-from mecmc.graphs import Pdag, edge_key, immoralities, is_acyclic, require_chordal
+from mecmc.graphs import (
+    Pdag,
+    edge_key,
+    format_graph,
+    immoralities,
+    is_acyclic,
+    require_chordal,
+)
 from mecmc.hjy import MOVE_KINDS, Move
 
 
@@ -153,6 +163,51 @@ def sample(g, steps, rng, start=None):
     for _ in range(steps):
         a = step(a, rng)
     return a
+
+
+def sample_many_by_rows(space, steps, count, rng):
+    """``flipchain.sample_many`` indexing the 2-D flip table by (state, edge)."""
+    start = space.keys.index(peo_orientation(space.graph))
+    x = np.full(count, start, dtype=np.int64)
+    m = space.graph.num_edges
+    if m == 0:
+        return x
+    for _ in range(steps):
+        x = space.flip_table[x, rng.integers(0, m, size=count)]
+    return x
+
+
+def arc_string(key):
+    return ";".join(f"{u}>{v}" for u, v in key)
+
+
+def render_sample_amo(space, final, config, fmt):
+    """The text ``sample-amo`` writes for the final states ``final`` of its
+    walk, each state's label and graph text formatted from its key anew
+    (``arc_string`` and ``format_graph``); ``config`` is the RunConfig dict."""
+    counts = np.bincount(final, minlength=space.size)
+    hist = {arc_string(space.keys[i]): int(c) for i, c in enumerate(counts) if c > 0}
+    if fmt == "csv":
+        rows = [f"# config {json.dumps(config, sort_keys=True)}"]
+        rows.append("orientation,count")
+        rows.extend(f"{k},{v}" for k, v in sorted(hist.items()))
+        rows.append(f"# n_states {space.size} distinct_sampled {len(hist)}")
+        return "\n".join(rows) + "\n"
+    payload = {
+        "config": config,
+        "summary": {
+            "n_states": space.size,
+            "distinct_sampled": len(hist),
+            "samples": config["samples"],
+            "steps": config["steps"],
+        },
+        "histogram": hist,
+        "orientations": {
+            arc_string(space.keys[i]): format_graph(space.graph.n, (), space.keys[i])
+            for i in sorted(set(final.tolist()))
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def essential_graph_by_intersection(d):

@@ -7,16 +7,20 @@ import itertools
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SUITE
 from mecmc import flipchain
-from mecmc.cli import main
+from mecmc.amo import build_orientation_space
+from mecmc.cli import RunConfig, build_parser, main
 from mecmc.graphs import (
     complete_graph,
     format_graph,
@@ -25,7 +29,8 @@ from mecmc.graphs import (
     path_graph,
     star_graph,
 )
-from mecmc.graphs import Dag
+from mecmc.graphs import Dag, UndirectedGraph
+from oracles import render_sample_amo, sample_many_by_rows
 from strategies import small_dags, small_graphs
 
 
@@ -533,6 +538,77 @@ def test_reruns_are_byte_identical(k3_file, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# two_digit_tree's labels sort unlike its keys: the label "0>1;0>10;..."
+# (source 5) sorts before "0>1;0>2;..." (source 0), its arc tuple after
+SAMPLE_GRAPHS = dict(
+    SUITE,
+    one_vertex=path_graph(1),
+    one_edge=path_graph(2),
+    two_digit_tree=UndirectedGraph(
+        11, [(0, 1), (0, 2), (0, 10)] + [(v, v + 1) for v in range(2, 9)]
+    ),
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sample_amo_output_matches_per_state_rendering(tmp_path, fmt):
+    # the arc-string table must give the bytes that formatting every sampled
+    # state's key anew gives, for the walk that the row-indexed oracle takes
+    steps, samples, seed = 30, 2000, 11
+    for name, g in SAMPLE_GRAPHS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_pdag(g))
+        out = tmp_path / f"{name}.{fmt}"
+        argv = ["sample-amo", "--input", str(path), "--steps", str(steps)]
+        argv += ["--samples", str(samples), "--seed", str(seed), "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        space = build_orientation_space(g)
+        final = sample_many_by_rows(space, steps, samples, np.random.default_rng(seed))
+        config = RunConfig(
+            subcommand="sample-amo",
+            seed=seed,
+            input=str(path),
+            steps=steps,
+            samples=samples,
+            format=fmt,
+        )
+        expected = render_sample_amo(space, final, config.to_dict(), fmt)
+        assert out.read_text() == expected, name
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main shares one parser across calls; no default or flag a call sets
+    # may reach the next one, so each output must equal the same command's
+    # output as the first call of a new interpreter
+    graph = tmp_path / "graph.txt"
+    graph.write_text(format_pdag(glued_clique_chain([3, 3], [2])))
+    dag = tmp_path / "dag.txt"
+    dag.write_text(format_graph(3, (), [(0, 1), (2, 1)]))
+    calls = [
+        ["sample-amo", "--input", str(graph), "--steps", "20", "--format", "csv"],
+        ["sample-amo", "--input", str(graph), "--samples", "50"],
+        ["ratio", "--nmax", "12"],
+        ["mec", "--input", str(dag)],
+        ["hjy", "--nmax", "4", "--steps", "30"],
+        ["diagnose", "--input", str(graph)],
+    ]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mecmc.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh.stdout, argv
+    assert build_parser() is build_parser()
 
 
 def test_config_embeds_seed_not_out_path(k3_file, tmp_path):

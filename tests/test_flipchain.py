@@ -23,13 +23,19 @@ from mecmc.flipchain import (
     transition_matrix,
 )
 from mecmc.graphs import (
-    UndirectedGraph,
     clique_tree,
     complete_graph,
     glued_clique_chain,
     path_graph,
 )
-from oracles import Amo, exact_distribution, flip_candidates, sample, step
+from oracles import (
+    Amo,
+    exact_distribution,
+    flip_candidates,
+    sample,
+    sample_many_by_rows,
+    step,
+)
 
 MULTI_CLIQUE = (
     "path3",
@@ -119,6 +125,24 @@ def test_sample_many_replays_the_reference_walk(suite_spaces, name):
         walk = sample(space.graph, 200, np.random.default_rng(seed))
         final = sample_many(space, 200, 1, np.random.default_rng(seed))
         assert space.keys[final[0]] == walk.key()
+
+
+def test_sample_many_matches_row_indexed_walk(suite_spaces):
+    # the flat gather must land where (state, edge) indexing lands, draw for
+    # draw, on every suite space and on the smallest and longest edge counts
+    spaces = dict(suite_spaces)
+    spaces["edge"] = build_orientation_space(path_graph(2))  # m = 1
+    spaces["path40"] = build_orientation_space(path_graph(40))  # m = 39
+    for name, space in spaces.items():
+        for steps, count in ((0, 7), (1, 1), (25, 1), (60, 300)):
+            for seed in (0, 1, 2017):
+                rng, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+                final = sample_many(space, steps, count, rng)
+                rows = sample_many_by_rows(space, steps, count, rng_rows)
+                assert final.dtype == rows.dtype == np.int64, name
+                assert np.array_equal(final, rows), (name, steps, count, seed)
+                # and both drew the same amount from the generator
+                assert rng.bit_generator.state == rng_rows.bit_generator.state
 
 
 def test_move_table_consistent_with_step():

@@ -29,6 +29,8 @@ def assert_matches_oracle(g, space):
     keys, table, adjacency, nonfollowers = oracle_space(g)
     assert list(space.keys) == keys
     assert space.flip_table.shape == (len(keys), g.num_edges)
+    # sample_many walks a ravel() view of the table, a copy unless contiguous
+    assert space.flip_table.flags.c_contiguous
     assert space.flip_table.tolist() == table
     rows = enumerate(space.flip_table.tolist())
     assert [sorted(j for j in row if j != i) for i, row in rows] == adjacency
