@@ -163,7 +163,8 @@ def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
 class OrientationSpace:
     """The flip graph H_G on all AMOs of a connected chordal graph.
 
-    State i, in canonical order, is ``keys[i]``, its sorted arc tuple.
+    State i, in canonical order, is ``keys[i]``, its sorted arc tuple, and
+    ``start`` is the index of the PEO orientation, where the search began.
     ``flip_table[i, e]``, an N x |E| int64 array over the sorted edges, is
     the state reached by proposing edge e: the flip when e is covered, i
     itself otherwise.  Bit k of ``nonfollower_masks[i]`` is set when clique
@@ -171,9 +172,10 @@ class OrientationSpace:
     deg(v) = |G| - C(G) + M(v) - 1.
     """
 
-    def __init__(self, graph, keys, flip_table, cliques, nonfollower_masks):
+    def __init__(self, graph, keys, start, flip_table, cliques, nonfollower_masks):
         self.graph = graph
         self.keys = keys
+        self.start = start
         self.flip_table = flip_table
         self.cliques = cliques
         self.nonfollower_masks = nonfollower_masks
@@ -204,4 +206,5 @@ def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
         for par in (parents[i] for i in order)
     ]
     keys = [keys[i] for i in order]
-    return OrientationSpace(g, keys, flip_table, cliques, nonfollowers)
+    start = int(rank[0])  # the search's first state is the PEO orientation
+    return OrientationSpace(g, keys, start, flip_table, cliques, nonfollowers)

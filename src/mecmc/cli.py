@@ -176,7 +176,7 @@ def cmd_sample_amo(args):
 def cmd_diagnose(args):
     space = _orientation_space(args.input)
     g = space.graph
-    config = RunConfig(subcommand="diagnose", seed=args.seed, input=args.input)
+    config = RunConfig(subcommand="diagnose", input=args.input)
     tm = flipchain.transition_matrix(space)
     gap = flipchain.spectral_gap(tm)
     ct = clique_tree(g)
@@ -383,7 +383,6 @@ def build_parser():
         "diagnose", help="exact spectrum, decomposition bound, bottlenecks"
     )
     sp.add_argument("--input", required=True, help="undirected graph file")
-    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_diagnose)
 

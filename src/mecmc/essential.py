@@ -19,7 +19,6 @@ from .graphs import (
     CapExceededError,
     Dag,
     Pdag,
-    UndirectedGraph,
     has_partially_directed_cycle,
     immoralities,
     is_acyclic,
@@ -154,7 +153,7 @@ def is_essential_graph(p):
     """The four-condition characterization of essential graphs."""
     if has_partially_directed_cycle(p):
         return False
-    if not is_chordal(p.undirected_part()):
+    if not is_chordal(p.undirected_part()[1]):
         return False
     # no induced a -> b - c with a, c nonadjacent
     for a, b in p.arcs:
@@ -166,8 +165,9 @@ def is_essential_graph(p):
 
 def class_size(p):
     """Number of DAGs in the class of an essential graph: the product over
-    undirected components of their AMO counts."""
-    return amo_mod.count_amos(p.undirected_part())
+    undirected components of their AMO counts, over the vertices with
+    lines."""
+    return amo_mod.count_amos(p.undirected_part()[1])
 
 
 def class_members(p):
@@ -176,9 +176,7 @@ def class_members(p):
     one flip search over the vertices with lines, since covered-edge flips
     connect a whole class (Chickering, UAI 1995).  Yields ``class_size(p)``
     keys, so callers check that size first."""
-    verts = [v for v in range(p.n) if p.undirected_neighbors[v]]
-    label = {v: i for i, v in enumerate(verts)}
-    sub = UndirectedGraph(len(verts), ((label[u], label[v]) for u, v in p.lines))
+    verts, sub = p.undirected_part()
     for key in amo_mod.enumerate_amos(sub, None):
         yield tuple(sorted(p.arcs.union((verts[u], verts[v]) for u, v in key)))
 

@@ -12,14 +12,12 @@ bound on the spectral gap.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from . import amo as amo_mod
 from .graphs import CapExceededError, clique_tree
 
 DENSE_SPECTRUM_CAP = 10_000
@@ -146,8 +144,7 @@ def sample_many(space, steps, count, rng):
     the C-contiguous N x |E| table sits at x * |E| + e of its ``ravel()``
     view, which shares the table's memory.
     """
-    start = bisect_left(space.keys, amo_mod.peo_orientation(space.graph))
-    x = np.full(count, start, dtype=np.int64)
+    x = np.full(count, space.start, dtype=np.int64)
     m = space.graph.num_edges
     if m == 0:
         # edgeless graph: one state and no edge to propose, so no draws

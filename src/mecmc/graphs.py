@@ -100,7 +100,15 @@ class Pdag:
         return UndirectedGraph(self.n, pairs)
 
     def undirected_part(self):
-        return UndirectedGraph(self.n, self.lines)
+        """``(verts, g)``: the lines as an ``UndirectedGraph`` ``g`` on the
+        vertices that carry them, relabelled in increasing order, so vertex
+        i of ``g`` is ``verts[i]``.  Vertices without lines stay out, so the
+        cost follows the lines, not ``n``."""
+        verts = sorted({v for line in self.lines for v in line})
+        label = {v: i for i, v in enumerate(verts)}
+        return verts, UndirectedGraph(
+            len(verts), ((label[u], label[v]) for u, v in self.lines)
+        )
 
     def key(self):
         """Canonical hashable form (sorted arcs, sorted lines)."""

@@ -479,15 +479,19 @@ def exact_kernel(start):
     return states, K
 
 
+def _marks(p):
+    """The (u, v, mark) triple of each edge of ``p``, u < v, in the
+    convention of ``_mark``."""
+    out = {(u, v, "line") for u, v in p.lines}
+    out.update((u, v, ">") if u < v else (v, u, "<") for u, v in p.arcs)
+    return out
+
+
 def hamming_distance(p1, p2):
     """Number of vertex pairs whose edge mark differs."""
     if p1.n != p2.n:
         raise ValueError("graphs must share a vertex count")
-    return sum(
-        1
-        for u, v in itertools.combinations(range(p1.n), 2)
-        if _mark(p1, u, v) != _mark(p2, u, v)
-    )
+    return len({(u, v) for u, v, _ in _marks(p1) ^ _marks(p2)})
 
 
 def two_step_path(e1, e2):
@@ -499,43 +503,32 @@ def two_step_path(e1, e2):
     """
     if hamming_distance(e1, e2) != 1:
         raise ValueError("graphs must be at Hamming distance 1")
-    diff = None
-    for u, v in itertools.combinations(range(e1.n), 2):
-        m1 = _mark(e1, u, v)
-        m2 = _mark(e2, u, v)
-        if m1 != m2:
-            diff = (u, v, m1, m2)
-            break
-    u, v, m1, m2 = diff
-    if m1 is None or m2 is None:
-        present = m2 if m1 is None else m1
-        if present == "line":
-            mv = Move("insert-line", (u, v))
-        elif present == ">":
-            mv = Move("insert-arc", (u, v))
-        else:
-            mv = Move("insert-arc", (v, u))
-        moves = [mv] if m1 is None else [_inverse(mv)]
-    elif {m1, m2} == {">", "<"}:
-        first = (u, v) if m1 == ">" else (v, u)
-        second = (v, u) if m1 == ">" else (u, v)
-        moves = [Move("delete-arc", first), Move("insert-arc", second)]
-    else:
+    m1, m2 = _marks(e1), _marks(e2)
+    gone, new = m1 - m2, m2 - m1
+    if {m for *_, m in gone | new} in ({"line", ">"}, {"line", "<"}):
         raise ValueError(
             "an arc cannot face a line at Hamming distance 1 between "
             "essential graphs"
         )
-    state = e1
+
+    def edit(verb, triple):
+        u, v, mark = triple
+        if mark == "line":
+            return Move(f"{verb}-line", (u, v))
+        return Move(f"{verb}-arc", (u, v) if mark == ">" else (v, u))
+
+    moves = [edit("delete", t) for t in gone] + [edit("insert", t) for t in new]
+    s = MaskState(e1)
     for mv in moves:
-        state = apply_move(state, mv)
-        if state is None:
+        if not s.try_move(mv):
             raise ValueError(f"joining move {mv} was rejected")
-    if state != e2:
+    if s.key() != e2.key():
         raise ValueError("joining moves did not reach the target")
     return moves
 
 
 def _mark(p, u, v):
+    """The mark of the pair u, v: "line", ">" for u->v, "<" for v->u, or None."""
     if edge_key(u, v) in p.lines:
         return "line"
     if (u, v) in p.arcs:
@@ -543,18 +536,6 @@ def _mark(p, u, v):
     if (v, u) in p.arcs:
         return "<"
     return None
-
-
-def _inverse(move):
-    swap = {
-        "insert-arc": "delete-arc",
-        "delete-arc": "insert-arc",
-        "insert-line": "delete-line",
-        "delete-line": "insert-line",
-        "make-immorality": "remove-immorality",
-        "remove-immorality": "make-immorality",
-    }
-    return Move(swap[move.kind], move.vertices)
 
 
 def reachable_within(state, depth):
@@ -571,77 +552,55 @@ def emptying_sequence(eg):
 
     Three stages: delete lines following a perfect elimination ordering of
     each chain component; dismantle incoming arcs of maximal vertices of
-    poset height >= 3 (non-cover parents first; with several covers keep the
-    highest for last, with one cover clear the shared parents first); finally
-    prune each remaining collider to two arcs, convert it to lines, and
-    delete them.  Every move must be accepted, so every intermediate is the
-    literal edit and essential; a rejected move raises.
+    poset height >= 3 (non-cover parents first, the parents a single cover
+    shares before the others; then the covers by height, highest last);
+    finally prune each remaining collider to two arcs, convert it to lines,
+    and delete them.  Every move must be accepted, so every intermediate is
+    the literal edit and essential; a rejected move raises.  The moves run
+    on one ``MaskState``.
     """
     moves = []
-    state = eg
+    s = MaskState(eg)
 
     def play(move):
-        nonlocal state
-        result = apply_move(state, move)
-        if result is None:
-            raise ValueError(f"emptying move {move} was rejected at {state!r}")
-        state = result
+        if not s.try_move(move):
+            raise ValueError(f"emptying move {move} was rejected at {s.pdag()!r}")
         moves.append(move)
 
     # stage 1: undirected edges, simplicial vertices first
-    und = state.undirected_part()
-    peo = perfect_elimination_ordering(und)
+    verts, und = eg.undirected_part()
     eliminated = set()
-    for v in peo:
+    for v in perfect_elimination_ordering(und):
         for w in sorted(und.adj[v]):
             if w not in eliminated:
-                play(Move("delete-line", edge_key(v, w)))
+                play(Move("delete-line", edge_key(verts[v], verts[w])))
         eliminated.add(v)
 
     # stage 2: maximal vertices of height >= 3
     while True:
-        dag = Dag(state.n, state.arcs)
+        dag = Dag(s.n, s.arcs)
         poset = reachability_poset(dag)
-        stats = poset_stats(poset)
+        heights = poset_stats(poset).heights
         target = None
-        for v in range(state.n):
-            if dag.parents[v] and not dag.children[v] and stats.heights[v] >= 3:
+        for v in range(s.n):
+            if dag.parents[v] and not dag.children[v] and heights[v] >= 3:
                 target = v
                 break
         if target is None:
             break
         v = target
-        covers = poset.covers(v)
-        heights = stats.heights
-        if len(covers) >= 2:
-            keep_last = max(covers, key=lambda w: (heights[w], w))
-            rest = sorted(
-                (w for w in covers if w != keep_last),
-                key=lambda w: (heights[w], w),
-            )
-            keep_second = rest[-1]
-            for x in sorted(dag.parents[v] - set(covers)):
-                play(Move("delete-arc", (x, v)))
-            for w in rest[:-1]:
-                play(Move("delete-arc", (w, v)))
-            play(Move("delete-arc", (keep_second, v)))
-            play(Move("delete-arc", (keep_last, v)))
-        else:
-            (w,) = covers
-            common = sorted((dag.parents[v] - {w}) & dag.parents[w])
-            others = sorted(dag.parents[v] - {w} - set(common))
-            for x in common:
-                play(Move("delete-arc", (x, v)))
-            for x in others:
-                play(Move("delete-arc", (x, v)))
-            play(Move("delete-arc", (w, v)))
+        covers = sorted(poset.covers(v), key=lambda w: (heights[w], w))
+        shared = dag.parents[covers[0]] if len(covers) == 1 else ()
+        rest = sorted(
+            dag.parents[v] - set(covers), key=lambda x: (x not in shared, x)
+        )
+        for x in rest + covers:
+            play(Move("delete-arc", (x, v)))
 
-    # stage 3: colliders of height two
-    dag = Dag(state.n, state.arcs)
-    for b in range(state.n):
-        parents = sorted(dag.parents[b])
-        if not parents:
-            continue
+    # stage 3: colliders of height two; each vertex's moves touch only its
+    # own parents, so the parents of the later vertices stay as they were
+    for b in sorted({b for _, b in s.arcs}):
+        parents = list(_bits(s.par[b]))
         for x in parents[:-2]:
             play(Move("delete-arc", (x, b)))
         a, c = parents[-2], parents[-1]
@@ -649,7 +608,7 @@ def emptying_sequence(eg):
         play(Move("delete-line", edge_key(a, b)))
         play(Move("delete-line", edge_key(b, c)))
 
-    if state.arcs or state.lines:
+    if s.arcs or s.lines:
         raise ValueError("emptying did not reach the empty graph")
     return moves
 

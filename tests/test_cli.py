@@ -646,7 +646,7 @@ def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatc
         (["sample-amo", "--input", "g.txt", "--samples", "0"], "--samples"),
         (["hjy", "--steps", "-1"], "--steps"),
         (["ratio", "--precision", "-3"], "--precision"),
-        (["diagnose", "--input", "g.txt", "--seed", "-2"], "--seed"),
+        (["hjy", "--seed", "-2"], "--seed"),
         (["hjy", "--steps", "ten"], "--steps"),
         (["hjy", "--nmax", "0"], "--nmax"),
         (["ratio", "--nmax", "1"], "--nmax"),
@@ -657,6 +657,18 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_diagnose_has_no_seed_option(capsys):
+    # diagnose makes no random draws, so it takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "--input", "g.txt", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
 
 
 def test_sample_amo_path_beyond_64_vertices(tmp_path):
@@ -685,7 +697,7 @@ GRAPH_TEXT = st.one_of(
 )
 FLAGS = {
     "sample-amo": ("--steps", "--samples", "--seed", "--format"),
-    "diagnose": ("--seed",),
+    "diagnose": (),
     "ratio": ("--nmax", "--precision", "--format"),
     "mec": (),
     "hjy": ("--nmax", "--steps", "--seed"),

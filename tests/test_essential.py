@@ -280,3 +280,10 @@ def test_class_members_cost_does_not_grow_with_isolated_vertices():
     ]
     assert members == relabel
     assert len(set(members)) == 120
+    # the count runs on the same five vertices
+    tracemalloc.start()
+    size = class_size(big)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert size == 120
+    assert peak < 2_000_000

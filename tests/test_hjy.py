@@ -1,5 +1,6 @@
 """Tests for the lazy reversible chain on essential graphs."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -489,6 +490,40 @@ def test_counterexample_empties():
     eg1, _ = counterexample_family(1)
     moves = emptying_sequence(eg1)
     assert len(moves) == 18
+
+
+# sha256 of repr([(kind, vertices) ...]) of every move the constructions
+# return, recorded before they ran on one MaskState and read edge-mark
+# diffs; the move lists, not just their totals, must stay the same
+def _move_digest(move_lists):
+    return hashlib.sha256(
+        repr([[(m.kind, m.vertices) for m in moves] for moves in move_lists]).encode()
+    ).hexdigest()
+
+
+def test_emptying_sequences_pinned(states4):
+    graphs = list(states4)
+    for k in (1, 2, 3):
+        graphs += counterexample_family(k)
+    assert _move_digest(map(emptying_sequence, graphs)) == (
+        "0bbffaae7378e3a336dec092f52615e6306ec4c6492850ec20043f9f64717780"
+    )
+
+
+def test_two_step_paths_and_hamming_distances_pinned(states3, states4):
+    paths = []
+    for states in (enumerate_essential_graphs(2), states3, states4):
+        for e1, e2 in itertools.product(states, repeat=2):
+            if hamming_distance(e1, e2) == 1:
+                paths.append(two_step_path(e1, e2))
+    assert len(paths) == 746
+    assert _move_digest(paths) == (
+        "220a2462303aa8c1b578a97c30bfc9f89116f5c0a0ecc826bd8236efb6c037d7"
+    )
+    distances = [hamming_distance(a, b) for a, b in itertools.product(states4, repeat=2)]
+    assert hashlib.sha256(repr(distances).encode()).hexdigest() == (
+        "d8a961ed9739bc9735a6a3a7e61d8783ce0126be6e7a3b6df8a34fd0072c111d"
+    )
 
 
 def test_propose_step_and_hash():

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 
 from conftest import SUITE
-from mecmc.amo import build_orientation_space, enumerate_amos
+from mecmc.amo import build_orientation_space, enumerate_amos, peo_orientation
 from mecmc.graphs import maximal_cliques, path_graph
 from oracles import Amo, flip_candidates, non_follower_cliques
 from strategies import chordal_graphs
@@ -28,6 +28,7 @@ def oracle_space(g):
 def assert_matches_oracle(g, space):
     keys, table, adjacency, nonfollowers = oracle_space(g)
     assert list(space.keys) == keys
+    assert space.keys[space.start] == peo_orientation(g)
     assert space.flip_table.shape == (len(keys), g.num_edges)
     # sample_many walks a ravel() view of the table, a copy unless contiguous
     assert space.flip_table.flags.c_contiguous
