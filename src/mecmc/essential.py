@@ -18,6 +18,7 @@ from . import amo as amo_mod
 from .graphs import (
     CapExceededError,
     Dag,
+    NotChordalError,
     Pdag,
     has_partially_directed_cycle,
     immoralities,
@@ -163,11 +164,21 @@ def is_essential_graph(p):
     return all(is_strongly_protected(p, arc) for arc in p.arcs)
 
 
+def _original_cycle(verts, err):
+    """``err``'s chordless cycle renamed from ``undirected_part``'s labels
+    back to the vertices of the Pdag."""
+    return NotChordalError([verts[v] for v in err.cycle])
+
+
 def class_size(p):
     """Number of DAGs in the class of an essential graph: the product over
     undirected components of their AMO counts, over the vertices with
     lines."""
-    return amo_mod.count_amos(p.undirected_part()[1])
+    verts, sub = p.undirected_part()
+    try:
+        return amo_mod.count_amos(sub)
+    except NotChordalError as err:
+        raise _original_cycle(verts, err) from None
 
 
 def class_members(p):
@@ -177,7 +188,11 @@ def class_members(p):
     connect a whole class (Chickering, UAI 1995).  Yields ``class_size(p)``
     keys, so callers check that size first."""
     verts, sub = p.undirected_part()
-    for key in amo_mod.enumerate_amos(sub, None):
+    try:
+        keys = amo_mod.enumerate_amos(sub, None)
+    except NotChordalError as err:
+        raise _original_cycle(verts, err) from None
+    for key in keys:
         yield tuple(sorted(p.arcs.union((verts[u], verts[v]) for u, v in key)))
 
 

@@ -28,6 +28,9 @@ EIGEN_TOL = 1e-9
 # exact_tmix: the TV distance that counts as mixed, and the step limit
 TMIX_EPS = 0.25
 TMIX_MAX_STEPS = 1 << 20
+# exact_tmix: how many start rows the search follows, and how many of the
+# worst unmixed rows a failed certificate adds to them
+TMIX_ROWS = 4
 
 
 class TransitionMatrix:
@@ -217,41 +220,61 @@ def clique_cut_bottlenecks(space):
 def exact_tmix(tm):
     """Smallest t with max-over-starts TV(P^t(x, .), pi) <= ``TMIX_EPS``.
 
-    Computed from literal matrix powers (doubling, then bisection).  Returns
-    None when the chain has not mixed within ``TMIX_MAX_STEPS`` (e.g.
-    periodic chains such as the single-edge graph).
+    P is symmetric, so one ``eigh`` gives P = V diag(lam) V^T and any rows
+    of P^t as ``(V[rows] * lam**t) @ V.T``.  Each start's TV distance to
+    uniform is non-increasing in t, so the search gallops and then bisects
+    over t on a few candidate start rows only: at first the
+    ``TMIX_ROWS`` rows farthest from uniform after one step, ties to the
+    lower index.  The returned t carries a certificate: one evaluation of
+    every row of P^t finds each within ``TMIX_EPS``, and a candidate row was
+    farther than that at t - 1.  When the full evaluation finds rows still
+    farther, the worst of them join the candidates and the search resumes
+    above t.  Returns None when the chain has not mixed within
+    ``TMIX_MAX_STEPS`` (e.g. periodic chains such as the single-edge graph).
+    Rejects asymmetric input, as ``spectral_gap`` does.
     """
+    if not tm.is_symmetric():
+        raise ValueError("exact_tmix expects a symmetric transition matrix")
     N = tm.dimension
     if N == 1:
         return 0
-    pi = np.full(N, 1.0 / N)
 
     def dist(A):
-        return float(0.5 * np.max(np.abs(A - pi).sum(axis=1)))
+        return 0.5 * np.abs(A - 1.0 / N).sum(axis=1)
 
-    P = tm.matrix
-    if dist(P) <= TMIX_EPS:
-        return 1 if dist(np.eye(N)) > TMIX_EPS else 0
-    powers = [P]  # powers[j] = P^(2^j)
-    t, A = 1, P
-    while dist(A) > TMIX_EPS:
-        if 2 * t > TMIX_MAX_STEPS:
-            return None
-        A = A @ A
-        t *= 2
-        powers.append(A)
-    lo_t, lo_A = t // 2, powers[-2]
-    hi_t = t
-    # invariant: dist at lo_t > TMIX_EPS >= dist at hi_t; hi_t - lo_t is a
-    # power of two, so each midpoint is one product with a stored power
-    while hi_t - lo_t > 1:
-        mid = (lo_t + hi_t) // 2
-        M = lo_A @ powers[(mid - lo_t).bit_length() - 1]
-        if dist(M) <= TMIX_EPS:
-            hi_t = mid
-        else:
-            lo_t, lo_A = mid, M
-    return hi_t
+    def worst(d):
+        return np.argsort(-d, kind="stable")[:TMIX_ROWS]
+
+    d = dist(tm.matrix)
+    if d.max() <= TMIX_EPS:
+        return 1  # P^0 = I is (N - 1)/N > 1/4 from uniform
+    lam, V = np.linalg.eigh(tm.matrix)
+
+    def dist_at(rows, t):
+        return dist((V[rows] * lam**t) @ V.T)
+
+    rows, lo = worst(d), 1
+    while True:
+        # some candidate row is farther than TMIX_EPS at lo
+        step = 1
+        while True:
+            hi = min(lo + step, TMIX_MAX_STEPS)
+            if dist_at(rows, hi).max() <= TMIX_EPS:
+                break
+            if hi == TMIX_MAX_STEPS:
+                return None
+            lo, step = hi, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if dist_at(rows, mid).max() <= TMIX_EPS:
+                hi = mid
+            else:
+                lo = mid
+        d = dist_at(slice(None), hi)
+        if d.max() <= TMIX_EPS:
+            return hi
+        late = worst(d)
+        rows, lo = np.union1d(rows, late[d[late] > TMIX_EPS]), hi
 
 
 # ---------------------------------------------------------------------------

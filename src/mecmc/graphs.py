@@ -450,9 +450,10 @@ def has_partially_directed_cycle(p):
     """True when some cycle follows lines either way and at least one arc forward.
 
     Equivalent test: in the digraph with lines doubled in both directions,
-    some arc's head reaches its tail back.
+    some arc's head reaches its tail back.  The search reads each vertex's
+    children and neighbours in place, so it visits only vertices that carry
+    an arc or a line, whatever ``n``.
     """
-    succ = [ch | nb for ch, nb in zip(p.children, p.undirected_neighbors)]
     for u, v in p.arcs:
         # BFS from v looking for u
         seen = {v}
@@ -460,7 +461,7 @@ def has_partially_directed_cycle(p):
         found = False
         while q and not found:
             x = q.popleft()
-            for y in succ[x]:
+            for y in itertools.chain(p.children[x], p.undirected_neighbors[x]):
                 if y == u:
                     found = True
                     break

@@ -11,8 +11,9 @@ sampled state from its key.  Two whole-graph routines are kept in their
 earlier form: the AMO count as the He-Jia-Yu root-peeling recursion that
 re-solves every rooted subproblem, and maximum cardinality search as a scan
 of every unvisited vertex per step.  Markov equivalence is tested on the
-definition (equal skeletons and immoralities), and the flip chain's law
-after t steps comes from t vector-matrix products.
+definition (equal skeletons and immoralities), the flip chain's law
+after t steps comes from t vector-matrix products, and its exact mixing
+time from repeated squaring of the whole transition matrix.
 """
 
 import itertools
@@ -22,6 +23,7 @@ import numpy as np
 
 from mecmc.amo import peo_orientation
 from mecmc.essential import is_essential_graph, is_strongly_protected, mec_of_dag
+from mecmc.flipchain import TMIX_EPS, TMIX_MAX_STEPS
 from mecmc.graphs import (
     Pdag,
     edge_key,
@@ -445,3 +447,43 @@ def exact_distribution(tm, start, steps):
     for _ in range(steps):
         mu = mu @ tm.matrix
     return mu
+
+
+def exact_tmix_by_powers(tm):
+    """Smallest t with max-over-starts TV(P^t(x, .), pi) <= ``TMIX_EPS``.
+
+    Computed from literal matrix powers (doubling, then bisection).  Returns
+    None when the chain has not mixed within ``TMIX_MAX_STEPS`` (e.g.
+    periodic chains such as the single-edge graph).
+    """
+    N = tm.dimension
+    if N == 1:
+        return 0
+    pi = np.full(N, 1.0 / N)
+
+    def dist(A):
+        return float(0.5 * np.max(np.abs(A - pi).sum(axis=1)))
+
+    P = tm.matrix
+    if dist(P) <= TMIX_EPS:
+        return 1 if dist(np.eye(N)) > TMIX_EPS else 0
+    powers = [P]  # powers[j] = P^(2^j)
+    t, A = 1, P
+    while dist(A) > TMIX_EPS:
+        if 2 * t > TMIX_MAX_STEPS:
+            return None
+        A = A @ A
+        t *= 2
+        powers.append(A)
+    lo_t, lo_A = t // 2, powers[-2]
+    hi_t = t
+    # invariant: dist at lo_t > TMIX_EPS >= dist at hi_t; hi_t - lo_t is a
+    # power of two, so each midpoint is one product with a stored power
+    while hi_t - lo_t > 1:
+        mid = (lo_t + hi_t) // 2
+        M = lo_A @ powers[(mid - lo_t).bit_length() - 1]
+        if dist(M) <= TMIX_EPS:
+            hi_t = mid
+        else:
+            lo_t, lo_A = mid, M
+    return hi_t

@@ -19,7 +19,14 @@ from mecmc.essential import (
     mec_of_dag,
     protected_directed_only,
 )
-from mecmc.graphs import Dag, Pdag, edge_key, immoralities
+from mecmc.graphs import (
+    Dag,
+    NotChordalError,
+    Pdag,
+    edge_key,
+    has_partially_directed_cycle,
+    immoralities,
+)
 
 from oracles import (
     essential_graph_by_fixed_point,
@@ -129,6 +136,20 @@ def test_class_size_examples():
     assert class_size(Pdag(3, [(0, 2), (1, 2)], [])) == 1
     assert class_size(Pdag(3, [], [(0, 1), (0, 2), (1, 2)])) == 6
     assert class_size(Pdag(4, [], [(0, 1), (2, 3)])) == 4
+
+
+@pytest.mark.parametrize(
+    "count",
+    [class_size, lambda p: list(class_members(p))],
+    ids=["class_size", "class_members"],
+)
+def test_class_of_non_chordal_lines_names_the_true_cycle(count):
+    # the lines 1-2-3-4-1 are relabelled 0..3 for the count; the error
+    # names the vertices of the Pdag, not those labels
+    with pytest.raises(NotChordalError) as info:
+        count(Pdag(6, [], [(1, 2), (2, 3), (3, 4), (4, 1)]))
+    assert sorted(info.value.cycle) == [1, 2, 3, 4]
+    assert str(info.value).endswith("-".join(map(str, info.value.cycle)))
 
 
 @settings(deadline=None, max_examples=150)
@@ -286,4 +307,24 @@ def test_class_members_cost_does_not_grow_with_isolated_vertices():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert size == 120
+    assert peak < 2_000_000
+
+
+def test_essential_test_cost_does_not_grow_with_isolated_vertices():
+    # a K5 of lines among 200,000 vertices, once with one line made an arc:
+    # the partially directed cycle search visits only the five vertices
+    spots = [3, 1_000, 50_000, 123_456, 199_999]
+    lines = list(itertools.combinations(spots, 2))
+    plain = Pdag(200_000, (), lines)
+    cyclic = Pdag(200_000, [(3, 1_000)], lines[1:])
+    tracemalloc.start()
+    answers = [
+        is_essential_graph(plain),
+        has_partially_directed_cycle(plain),
+        has_partially_directed_cycle(cyclic),
+        is_essential_graph(cyclic),
+    ]
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert answers == [True, False, True, False]
     assert peak < 2_000_000

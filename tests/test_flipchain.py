@@ -8,6 +8,7 @@ import pytest
 from mecmc.amo import build_orientation_space, peo_orientation
 from mecmc.flipchain import (
     EIGEN_TOL,
+    TransitionMatrix,
     bottleneck_ratio,
     clique_cut_bottlenecks,
     comparison_bound,
@@ -31,6 +32,7 @@ from mecmc.graphs import (
 from oracles import (
     Amo,
     exact_distribution,
+    exact_tmix_by_powers,
     flip_candidates,
     sample,
     sample_many_by_rows,
@@ -341,8 +343,14 @@ def test_slow_equilibration_across_gluing_face():
 
 
 def test_exact_tmix_small_cases():
+    one_tm = transition_matrix(build_orientation_space(path_graph(1)))
+    assert exact_tmix(one_tm) == 0  # the one state is stationary at once
     edge_tm = transition_matrix(build_orientation_space(path_graph(2)))
     assert exact_tmix(edge_tm) is None  # period-2 chain never mixes
+    # two states that one proposal swaps and the other keeps: P is uniform,
+    # so one step mixes; no graph in the tests has a chain this fast
+    flat_tm = TransitionMatrix(np.array([[1, 0], [0, 1]]))
+    assert exact_tmix(flat_tm) == exact_tmix_by_powers(flat_tm) == 1
     k3_tm = transition_matrix(build_orientation_space(complete_graph(3)))
     t = exact_tmix(k3_tm)
     assert t is not None

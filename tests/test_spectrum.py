@@ -1,16 +1,17 @@
 """The lazy transition matrix, the dense and sparse lambda_2 solvers, and
-exact_tmix against values captured before its powers were reused."""
+exact_tmix against pinned values and the matrix-power oracle."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import mecmc
-from mecmc.amo import build_orientation_space
+from mecmc.amo import build_orientation_space, count_amos
 from mecmc.flipchain import (
     DENSE_STATES,
     TransitionMatrix,
@@ -21,6 +22,7 @@ from mecmc.flipchain import (
     transition_matrix,
 )
 from mecmc.graphs import complete_graph, glued_clique_chain, path_graph
+from oracles import exact_tmix_by_powers
 from strategies import chordal_graphs
 
 
@@ -85,6 +87,8 @@ def test_asymmetric_table_is_rejected():
     assert not tm.is_symmetric()
     with pytest.raises(ValueError):
         spectral_gap(tm)
+    with pytest.raises(ValueError):
+        exact_tmix(tm)
 
 
 @pytest.mark.parametrize(
@@ -98,9 +102,68 @@ def test_asymmetric_table_is_rejected():
     ids=["K5", "K6", "two_K5_share3", "three_K4_share2"],
 )
 def test_exact_tmix_pinned(graph, tmix):
-    # values from repeated squaring in every bisection step; reusing the
-    # doubling powers multiplies the same operands, so t may not move
+    # values from literal matrix powers, repeated squaring in every
+    # bisection step; the search on rows of P^t from one eigendecomposition
+    # must land on the same t
     assert exact_tmix(transition_matrix(build_orientation_space(graph))) == tmix
+
+
+def test_exact_tmix_agrees_with_powers_on_suite(suite_spaces):
+    for name, space in suite_spaces.items():
+        if space.size <= DENSE_STATES:
+            tm = transition_matrix(space)
+            assert exact_tmix(tm) == exact_tmix_by_powers(tm), name
+
+
+@pytest.mark.parametrize(
+    "sizes, overlaps",
+    [
+        ([6], []),
+        ([5, 5], [2]),
+        ([5, 5], [4]),
+        ([4, 5], [3]),
+        ([4, 4, 4], [2, 2]),
+        ([3, 4, 3], [2, 2]),
+        ([3, 3, 3, 3], [2, 2, 2]),
+    ],
+    ids=[
+        "K6",
+        "two_K5_share2",
+        "two_K5_share4",
+        "K4_K5_share3",
+        "three_K4_share2",
+        "K3_K4_K3_share2",
+        "four_K3_share2",
+    ],
+)
+def test_exact_tmix_agrees_with_powers_on_glued_cliques(sizes, overlaps):
+    g = glued_clique_chain(sizes, overlaps)
+    tm = transition_matrix(build_orientation_space(g))
+    assert tm.dimension <= DENSE_STATES
+    assert exact_tmix(tm) == exact_tmix_by_powers(tm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chordal_graphs(connected=True))
+def test_exact_tmix_agrees_with_powers_on_random_chordal(g):
+    assume(count_amos(g) <= DENSE_STATES)
+    tm = transition_matrix(build_orientation_space(g))
+    assert exact_tmix(tm) == exact_tmix_by_powers(tm)
+
+
+def test_exact_tmix_holds_no_matrix_powers():
+    # K6: 720 states.  One full evaluation of P^t holds the eigenvectors
+    # and three N x N temporaries; the doubling search keeps P^(2^j) for
+    # every j it reached besides
+    tm = transition_matrix(build_orientation_space(complete_graph(6)))
+    bound = 6 * tm.matrix.nbytes
+    peaks = []
+    for tmix in (exact_tmix, exact_tmix_by_powers):
+        tracemalloc.start()
+        assert tmix(tm) == 74
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < bound < peaks[1]
 
 
 def test_import_does_not_load_scipy():
