@@ -31,6 +31,12 @@ TMIX_MAX_STEPS = 1 << 20
 # exact_tmix: how many start rows the search follows, and how many of the
 # worst unmixed rows a failed certificate adds to them
 TMIX_ROWS = 4
+# sparse lambda_2: the Lanczos basis holds at most this many vectors of N
+# floats; the solve stops at this Ritz residual, or gives up after this
+# many products P v
+LANCZOS_BASIS = 32
+LANCZOS_TOL = 1e-13
+LANCZOS_MATVECS = 10_000
 
 
 class TransitionMatrix:
@@ -82,6 +88,12 @@ class TransitionMatrix:
         P[rows, cols] = values
         return P
 
+    @cached_property
+    def eigh(self):
+        """``numpy.linalg.eigh`` of the dense matrix, eigenvalues ascending:
+        one solve serves both ``spectral_gap`` and ``exact_tmix``."""
+        return np.linalg.eigh(self.matrix)
+
     def is_symmetric(self):
         """Whether every proposal is undone by the same edge (a flip is an
         involution), which makes P symmetric."""
@@ -99,30 +111,65 @@ def transition_matrix(space):
 
 
 def _lambda2_dense(tm):
-    return np.linalg.eigvalsh(tm.matrix)[-2]
+    return tm.eigh[0][-2]
 
 
 def _lambda2_sparse(tm):
-    """Second-largest eigenvalue by implicitly restarted Lanczos (ARPACK).
+    """Second-largest eigenvalue by restarted Lanczos with full
+    reorthogonalization (Paige 1972; Golub & Van Loan, ch. 10).
 
-    The CSR matrix comes straight from the flip table; the start vector is
-    fixed so that repeated calls give the same float.
+    P v is one weighted gather over the flip table's entries, so no matrix
+    is built.  Every vector is kept orthogonal to the uniform vector, the
+    eigenvector of 1, so the largest Ritz value converges to lambda_2.  The
+    basis holds at most ``LANCZOS_BASIS`` vectors; when it is full the
+    iteration restarts from the top Ritz vector.  It stops once the Ritz
+    residual |beta_k s_k| is at most ``LANCZOS_TOL``, and raises
+    ``CapExceededError`` after ``LANCZOS_MATVECS`` products.  The start
+    vector is fixed so that repeated calls give the same float.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import eigsh
-
     N = tm.dimension
     rows, cols, values = tm._entries()
-    P = csr_matrix((values, (rows, cols)), shape=(N, N))
-    v0 = np.random.default_rng(0).standard_normal(N)
-    ev = eigsh(P, k=2, which="LA", v0=v0, return_eigenvectors=False)
-    return np.sort(ev)[0]
+
+    def unit(v):
+        v = v - v.mean()
+        return v / np.linalg.norm(v)
+
+    Q = np.empty((LANCZOS_BASIS, N))
+    Q[0] = unit(np.random.default_rng(0).standard_normal(N))
+    matvecs = 0
+    while True:
+        alpha, beta = [], []
+        for j in range(LANCZOS_BASIS):
+            w = np.bincount(rows, weights=values * Q[j][cols], minlength=N)
+            matvecs += 1
+            w -= w.mean()
+            alpha.append(Q[j] @ w)
+            w -= alpha[-1] * Q[j]
+            if j:
+                w -= beta[-1] * Q[j - 1]
+            B = Q[: j + 1]
+            w -= B.T @ (B @ w)
+            b = np.linalg.norm(w)
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, S = np.linalg.eigh(tri)
+            if b * abs(S[-1, -1]) <= LANCZOS_TOL:
+                return theta[-1]
+            if matvecs == LANCZOS_MATVECS:
+                raise CapExceededError(
+                    f"the sparse eigensolver found no lambda_2 within "
+                    f"{LANCZOS_MATVECS} Lanczos steps"
+                )
+            if j + 1 < LANCZOS_BASIS:
+                beta.append(b)
+                Q[j + 1] = w / b
+        Q[0] = unit(S[:, -1] @ Q)
 
 
 def spectral_gap(tm):
     """1 - lambda_2 via a symmetric eigensolver; rejects asymmetric input.
 
-    Dense ``eigvalsh`` up to ``DENSE_STATES`` states, sparse ``eigsh`` above.
+    The dense matrix's cached ``eigh`` up to ``DENSE_STATES`` states, a
+    sparse Lanczos solve above.
     Dimension-1 chains have gap 1 by convention.
     """
     if not tm.is_symmetric():
@@ -220,13 +267,14 @@ def clique_cut_bottlenecks(space):
 def exact_tmix(tm):
     """Smallest t with max-over-starts TV(P^t(x, .), pi) <= ``TMIX_EPS``.
 
-    P is symmetric, so one ``eigh`` gives P = V diag(lam) V^T and any rows
-    of P^t as ``(V[rows] * lam**t) @ V.T``.  Each start's TV distance to
-    uniform is non-increasing in t, so the search gallops and then bisects
-    over t on a few candidate start rows only: at first the
-    ``TMIX_ROWS`` rows farthest from uniform after one step, ties to the
+    P is symmetric, so its cached ``eigh`` gives P = V diag(lam) V^T and
+    any rows of P^t as ``(V[rows] * lam**t) @ V.T``.  Each start's TV
+    distance to uniform is non-increasing in t, so the search gallops and
+    then bisects over t on a few candidate start rows only: at first the
+    ``TMIX_ROWS`` rows with the most weight on the slow eigenvectors, those
+    farthest from uniform in L2 after twice the relaxation time, ties to the
     lower index.  The returned t carries a certificate: one evaluation of
-    every row of P^t finds each within ``TMIX_EPS``, and a candidate row was
+    every row of P^t finds each within ``TMIX_EPS``, and some row was
     farther than that at t - 1.  When the full evaluation finds rows still
     farther, the worst of them join the candidates and the search resumes
     above t.  Returns None when the chain has not mixed within
@@ -248,14 +296,19 @@ def exact_tmix(tm):
     d = dist(tm.matrix)
     if d.max() <= TMIX_EPS:
         return 1  # P^0 = I is (N - 1)/N > 1/4 from uniform
-    lam, V = np.linalg.eigh(tm.matrix)
+    lam, V = tm.eigh
 
     def dist_at(rows, t):
         return dist((V[rows] * lam**t) @ V.T)
 
-    rows, lo = worst(d), 1
+    # squared L2 distance of each row from uniform after twice the
+    # relaxation time, sum over k >= 2 of |lam_k|^2t V[i, k]^2
+    slow = max(lam[-2], -lam[0])
+    t = 2 / (1 - slow) if slow < 1 else 1
+    rows, lo = worst((V[:, :-1] ** 2) @ np.abs(lam[:-1]) ** (2 * t)), 1
     while True:
-        # some candidate row is farther than TMIX_EPS at lo
+        # some row is farther than TMIX_EPS at lo: at first the one-step
+        # check found one, later the failed certificate did
         step = 1
         while True:
             hi = min(lo + step, TMIX_MAX_STEPS)
@@ -274,7 +327,8 @@ def exact_tmix(tm):
         if d.max() <= TMIX_EPS:
             return hi
         late = worst(d)
-        rows, lo = np.union1d(rows, late[d[late] > TMIX_EPS]), hi
+        # every candidate row is within TMIX_EPS at hi, so the two are disjoint
+        rows, lo = np.sort(np.concatenate((rows, late[d[late] > TMIX_EPS]))), hi
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The lazy transition matrix, the dense and sparse lambda_2 solvers, and
 exact_tmix against pinned values and the matrix-power oracle."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 import mecmc
+from mecmc import flipchain
 from mecmc.amo import build_orientation_space, count_amos
+from mecmc.cli import main
 from mecmc.flipchain import (
     DENSE_STATES,
     TransitionMatrix,
@@ -21,7 +24,13 @@ from mecmc.flipchain import (
     spectral_gap,
     transition_matrix,
 )
-from mecmc.graphs import complete_graph, glued_clique_chain, path_graph
+from mecmc.graphs import (
+    UndirectedGraph,
+    complete_graph,
+    format_graph,
+    glued_clique_chain,
+    path_graph,
+)
 from oracles import exact_tmix_by_powers
 from strategies import chordal_graphs
 
@@ -79,6 +88,84 @@ def test_sparse_path_above_crossover(two_k6_share4):
     assert gap == spectral_gap(tm)
     assert _lambda2_sparse(tm) == _lambda2_sparse(tm)
     assert abs(gap - (1.0 - _lambda2_dense(tm))) <= 1e-12
+
+
+def test_sparse_restarts_agree_with_dense(suite_spaces, monkeypatch):
+    # a four-vector basis is full after four steps, so every space with more
+    # than five states restarts from its top Ritz vector, most many times
+    monkeypatch.setattr(flipchain, "LANCZOS_BASIS", 4)
+    for name, space in suite_spaces.items():
+        tm = transition_matrix(space)
+        assert abs(_lambda2_sparse(tm) - _lambda2_dense(tm)) <= 1e-12, name
+
+
+def test_sparse_solve_holds_the_basis_and_no_matrix(two_k6_share4):
+    # the Krylov basis plus the flip table's entries, with no N x N array
+    tm = two_k6_share4
+    bound = flipchain.LANCZOS_BASIS * tm.dimension * 8 + 3 * tm.flip_table.nbytes
+    tracemalloc.start()
+    _lambda2_sparse(tm)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < bound < tm.dimension**2 * 8
+
+
+def test_unconverged_sparse_solve_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(flipchain, "LANCZOS_MATVECS", 10)
+    g = glued_clique_chain([6, 6], [4])
+    p = tmp_path / "g.txt"
+    p.write_text(format_graph(g.n, g.edges))
+    assert main(["diagnose", "--input", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "error: the sparse eigensolver found no lambda_2 within 10 Lanczos steps\n"
+    )
+
+
+# 38 states; exact_tmix's first certificate fails on it, so its search
+# resumes with more candidate rows
+RESUMED_TMIX = UndirectedGraph(
+    7, [(0, 1), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4)]
+)
+
+
+def test_exact_tmix_resumes_after_a_failed_certificate():
+    tm = transition_matrix(build_orientation_space(RESUMED_TMIX))
+    assert exact_tmix(tm) == exact_tmix_by_powers(tm) == 33
+
+
+def test_diagnose_runs_without_scipy(tmp_path):
+    # scipy unimportable: both spectrum paths and a resumed exact_tmix run,
+    # and neither scipy nor numpy.ma (which np.union1d imports on first use)
+    # gets loaded
+    cases = [
+        ("sparse", glued_clique_chain([6, 6], [4])),
+        ("dense", glued_clique_chain([5, 5], [3])),
+        ("dense", RESUMED_TMIX),
+    ]
+    paths = {}
+    for i, (spectrum, g) in enumerate(cases):
+        paths[tmp_path / f"{i}.txt"] = spectrum
+        (tmp_path / f"{i}.txt").write_text(format_graph(g.n, g.edges))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from mecmc.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert main(['diagnose', '--input', path, '--out', path + '.json']) == 0\n"
+        "print([k for k in ('scipy', 'numpy.ma') if sys.modules.get(k) is not None])\n"
+    )
+    src = os.path.dirname(os.path.dirname(mecmc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, paths)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+    for p, spectrum in paths.items():
+        payload = json.loads(p.with_name(p.name + ".json").read_text())
+        assert payload["spectrum"] == spectrum
 
 
 def test_asymmetric_table_is_rejected():
