@@ -306,7 +306,8 @@ def _hjy_records(args):
     """The walk's JSON lines, each yielded as soon as its step is taken."""
     n = args.nmax
     config = RunConfig(subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n)
-    rng = np.random.default_rng(args.seed)
+    # the draws of default_rng(seed).integers, without numpy's per-call cost
+    rng = hjy.Pcg64Draws(args.seed)
     state = hjy.MaskState(Pdag(n))
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
     yield encode({"config": config.to_dict()}) + "\n"
@@ -316,15 +317,7 @@ def _hjy_records(args):
         state, move, accepted = hjy.step(state, rng)
         if accepted:  # a rejected step leaves the state as it was
             digest = hjy.state_hash(state)
-        yield encode(
-            {
-                "step": t,
-                "kind": move.kind if move else None,
-                "vertices": list(move.vertices) if move else None,
-                "accepted": accepted,
-                "state": digest,
-            }
-        ) + "\n"
+        yield _step_record(t, move, accepted, digest)
     if n <= 4:
         states, kernel = hjy.exact_kernel(Pdag(n, (), ()))
         m = len(states)
@@ -343,6 +336,20 @@ def _hjy_records(args):
                 }
             }
         ) + "\n"
+
+
+def _step_record(t, move, accepted, digest):
+    """One step's JSON line, byte for byte as ``JSONEncoder(sort_keys=True)``
+    encodes {"step", "kind", "vertices", "accepted", "state"}; kind and
+    vertices are null when no move was drawn."""
+    if move is None:
+        kind = vertices = "null"
+    else:
+        kind, vertices = f'"{move.kind}"', list(move.vertices)
+    return (
+        f'{{"accepted": {"true" if accepted else "false"}, "kind": {kind}, '
+        f'"state": "{digest}", "step": {t}, "vertices": {vertices}}}\n'
+    )
 
 
 def _at_least(low):

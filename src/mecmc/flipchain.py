@@ -62,14 +62,12 @@ class TransitionMatrix:
     def _entries(self):
         """(rows, cols, values) of P: one entry per legal flip, then the diagonal."""
         N, m = self.dimension, self.num_edges
-        rows = np.repeat(np.arange(N), m)
-        cols = self.flip_table.ravel()
-        moves = cols != rows
-        degrees = np.count_nonzero(moves.reshape(N, m), axis=1)
         stay = np.arange(N)
+        moves = self.flip_table != stay[:, None]
+        degrees = np.count_nonzero(moves, axis=1)
         return (
-            np.concatenate([rows[moves], stay]),
-            np.concatenate([cols[moves], stay]),
+            np.concatenate([np.repeat(stay, degrees), stay]),
+            np.concatenate([self.flip_table[moves], stay]),
             np.concatenate([np.full(degrees.sum(), 1.0 / m), 1.0 - degrees / m]),
         )
 

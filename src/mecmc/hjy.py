@@ -356,7 +356,8 @@ def propose(n, rng):
     Returns None when the drawn kind has no valid tuple (immorality kinds
     need three vertices, edge kinds two); the step counts as a rejection.
     Each later vertex is a uniform index into the vertices not yet drawn,
-    in increasing order.
+    in increasing order.  ``rng`` is a numpy Generator or a ``Pcg64Draws``;
+    only ``rng.integers(k)`` is called.
     """
     kind = MOVE_KINDS[int(rng.integers(6))]
     if n < (3 if "immorality" in kind else 2):
@@ -377,6 +378,65 @@ def propose(n, rng):
     if "line" in kind:
         u, v = min(u, v), max(u, v)
     return Move(kind, (u, v))
+
+
+RAW_BLOCK = 512  # raw PCG64 words read per refill of a ``Pcg64Draws``
+
+
+class Pcg64Draws:
+    """The draws of ``numpy.random.default_rng(seed).integers(high)``,
+    reproduced from the generator's raw 64-bit words.
+
+    A scalar ``integers`` call pays numpy's per-call overhead; ``step``
+    makes about four per chain step.  This stream reads the words in blocks
+    and applies numpy's rules itself, so a sequence of ``integers(high)``
+    calls returns what the same calls on the Generator return:
+
+    - ``high == 1`` returns 0 and draws nothing;
+    - ``high <= 2**32`` draws 32-bit halves, the low half of a word first
+      and its high half on the next such draw (PCG64's ``next_uint32``);
+    - a larger ``high`` takes a whole word and leaves a pending half
+      pending;
+    - each draw x of w bits is scaled by Lemire's method (ACM TOMACS 2019):
+      m = x * high, retried while ``m mod 2**w < 2**w mod high``, and the
+      result is ``m >> w``.
+    """
+
+    def __init__(self, seed):
+        import numpy as np
+
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._words = iter(())
+        self._half = None
+
+    def _word(self):
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._raw(RAW_BLOCK).tolist())
+            return next(self._words)
+
+    def integers(self, high):
+        if high == 1:
+            return 0
+        if high > 1 << 32:
+            threshold = (1 << 64) % high
+            while True:
+                m = self._word() * high
+                if m & 0xFFFFFFFFFFFFFFFF >= threshold:
+                    return m >> 64
+        threshold = (1 << 32) % high
+        while True:
+            x = self._half
+            if x is None:
+                x = self._word()
+                self._half = x >> 32
+                x &= 0xFFFFFFFF
+            else:
+                self._half = None
+            m = x * high
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
 
 
 def step(state, rng):
@@ -576,13 +636,17 @@ def emptying_sequence(eg):
                 play(Move("delete-line", edge_key(verts[v], verts[w])))
         eliminated.add(v)
 
-    # stage 2: maximal vertices of height >= 3
+    # stage 2: maximal vertices of height >= 3, found in the poset of the
+    # vertices with arcs, relabelled in increasing order (as
+    # ``undirected_part`` does), so every order below is the original one
     while True:
-        dag = Dag(s.n, s.arcs)
+        verts = sorted({v for arc in s.arcs for v in arc})
+        local = {v: i for i, v in enumerate(verts)}
+        dag = Dag(len(verts), [(local[u], local[v]) for u, v in s.arcs])
         poset = reachability_poset(dag)
         heights = poset_stats(poset).heights
         target = None
-        for v in range(s.n):
+        for v in range(dag.n):
             if dag.parents[v] and not dag.children[v] and heights[v] >= 3:
                 target = v
                 break
@@ -595,7 +659,7 @@ def emptying_sequence(eg):
             dag.parents[v] - set(covers), key=lambda x: (x not in shared, x)
         )
         for x in rest + covers:
-            play(Move("delete-arc", (x, v)))
+            play(Move("delete-arc", (verts[x], verts[v])))
 
     # stage 3: colliders of height two; each vertex's moves touch only its
     # own parents, so the parents of the later vertices stay as they were

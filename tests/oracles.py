@@ -13,7 +13,8 @@ re-solves every rooted subproblem, and maximum cardinality search as a scan
 of every unvisited vertex per step.  Markov equivalence is tested on the
 definition (equal skeletons and immoralities), the flip chain's law
 after t steps comes from t vector-matrix products, and its exact mixing
-time from repeated squaring of the whole transition matrix.
+time from repeated squaring of the whole transition matrix, whose entries
+are picked out of a row index as large as the flip table.
 """
 
 import itertools
@@ -438,6 +439,22 @@ def markov_equivalent(d1, d2):
     if d1.n != d2.n:
         return False
     return d1.skeleton() == d2.skeleton() and immoralities(d1) == immoralities(d2)
+
+
+def transition_entries_by_row_index(flip_table):
+    """(rows, cols, values) of the flip chain's P, picking the legal flips
+    out of a row index as large as the flip table."""
+    N, m = flip_table.shape
+    rows = np.repeat(np.arange(N), m)
+    cols = flip_table.ravel()
+    moves = cols != rows
+    degrees = np.count_nonzero(moves.reshape(N, m), axis=1)
+    stay = np.arange(N)
+    return (
+        np.concatenate([rows[moves], stay]),
+        np.concatenate([cols[moves], stay]),
+        np.concatenate([np.full(degrees.sum(), 1.0 / m), 1.0 - degrees / m]),
+    )
 
 
 def exact_distribution(tm, start, steps):

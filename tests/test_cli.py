@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import SUITE
 from mecmc import flipchain
 from mecmc.amo import build_orientation_space
-from mecmc.cli import RunConfig, build_parser, main
+from mecmc.cli import RunConfig, _step_record, build_parser, main
 from mecmc.graphs import (
     complete_graph,
     format_graph,
@@ -30,6 +30,7 @@ from mecmc.graphs import (
     star_graph,
 )
 from mecmc.graphs import Dag, UndirectedGraph
+from mecmc.hjy import MOVE_KINDS, Move
 from oracles import render_sample_amo, sample_many_by_rows
 from strategies import small_dags, small_graphs
 
@@ -496,6 +497,25 @@ def test_hjy_streams_its_records(tmp_path):
     assert peak < 3_000_000
 
 
+@pytest.mark.parametrize(
+    "move",
+    [None]
+    + [Move(k, (0, 3, 11) if "immorality" in k else (12, 4)) for k in MOVE_KINDS],
+)
+@pytest.mark.parametrize("accepted", [False, True])
+def test_hjy_step_record_is_the_sorted_json(move, accepted):
+    encode = json.JSONEncoder(sort_keys=True).encode
+    record = {
+        "step": 1234,
+        "kind": move.kind if move else None,
+        "vertices": list(move.vertices) if move else None,
+        "accepted": accepted,
+        "state": "0123456789ab",
+    }
+    line = _step_record(1234, move, accepted, "0123456789ab")
+    assert line == encode(record) + "\n"
+
+
 # sha256 of the `mecmc hjy` output, recorded while apply_move still repaired
 # each edit to the essential graph of a consistent extension and accepted
 # when the repair changed nothing; the n = 4 run also covers the uniformity
@@ -504,6 +524,12 @@ PINNED_HJY = {
     ("10", "1200", "7"): "78c282ce6c189dd2a1b0031fc37544deb771a65109dcdb8615914d172dea0e31",
     ("10", "1200", "2017"): "64059972a6f11b81f846b2fd789f7b4ffc18d914b3be559ad1451e4dafba2fc1",
     ("4", "2000", "3"): "cbb1685f69200d67365e2974aeda54b3a0ffc65a6f77b3effca5c873ccf36173",
+    # recorded while proposals were numpy Generator.integers calls; at
+    # n = 2 and 3 some draws are integers(1), which consume no generator word
+    ("1", "3000", "5"): "7a7e7234f5d277507d68de8bf9c8ee6eb3bc4e5b1abb3eaa7d443f567e46778a",
+    ("2", "3000", "11"): "d1e3c531e36850be9c03594785c528612c8ae8d411d6c612c93d7d8a95dbb008",
+    ("3", "4000", "13"): "2c35929dffcae67176ed3ca11d1480b7deebc9b72e0e397e3f19a5bbc408b0b6",
+    ("57", "3000", "17"): "ec1317ed45dc9d20c567ac2f28f32e4fba18738d988134181d9408e997e3b370",
 }
 
 

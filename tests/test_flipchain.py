@@ -37,6 +37,7 @@ from oracles import (
     sample,
     sample_many_by_rows,
     step,
+    transition_entries_by_row_index,
 )
 
 MULTI_CLIQUE = (
@@ -74,6 +75,15 @@ def test_transition_matrices_symmetric(suite_spaces):
         tm = transition_matrix(space)
         assert tm.is_symmetric()
         assert np.allclose(tm.matrix.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_transition_entries_match_row_index_oracle(suite_spaces):
+    for space in suite_spaces.values():
+        tm = transition_matrix(space)
+        want = transition_entries_by_row_index(tm.flip_table)
+        for got, expected in zip(tm._entries(), want):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 def test_self_loop_probability(suite_spaces):

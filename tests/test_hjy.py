@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,16 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecmc import hjy
 from mecmc.essential import (
     enumerate_essential_graphs,
     essential_graph_of_dag,
     is_essential_graph,
 )
-from mecmc.graphs import Dag, Pdag, immoralities
+from mecmc.graphs import Dag, Pdag, edge_key, immoralities
 from mecmc.hjy import (
     MOVE_KINDS,
     MaskState,
     Move,
+    Pcg64Draws,
     _mark,
     apply_move,
     consistent_extension,
@@ -237,6 +241,32 @@ def test_propose_matches_list_picks(n):
         assert propose(n, fast) == propose_by_lists(n, lists)
 
 
+# highs on both sides of 2**32: 1 (numpy draws nothing), small ones, one
+# that rejects about 30% of 32-bit draws (2**32 mod 3e9 = 1.29e9), the
+# 32-bit edge and whole words
+PCG64_HIGHS = (1, 2, 3, 6, 10, 57, 3 * 10**9, 2**32, 2**32 + 1, 5 * 10**9)
+PCG64_HIGHS += (2**62 + 12345,)
+
+
+def test_pcg64_draws_match_generator_integers(monkeypatch):
+    # a three-word block makes draws cross block edges, with a half pending
+    monkeypatch.setattr(hjy, "RAW_BLOCK", 3)
+    for seed in range(200):
+        pick = random.Random(seed)
+        highs = [pick.choice(PCG64_HIGHS) for _ in range(1000)]
+        stream, rng = Pcg64Draws(seed), np.random.default_rng(seed)
+        want = [int(rng.integers(h)) for h in highs]
+        assert [stream.integers(h) for h in highs] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 57])
+def test_pcg64_draws_propose_like_generator(monkeypatch, n):
+    monkeypatch.setattr(hjy, "RAW_BLOCK", 3)
+    stream, rng = Pcg64Draws(n), np.random.default_rng(n)
+    for _ in range(5000):
+        assert propose(n, stream) == propose(n, rng)
+
+
 def test_accepted_moves_are_literal_edits_n4(states4):
     for s in states4:
         for m, r in legal_moves(s):
@@ -413,6 +443,30 @@ def test_emptying_all_n4(states4):
         length >= len(s.arcs) + len(s.lines)
         for length, s in zip(lengths, states4)
     )
+
+
+def test_emptying_is_fast_on_few_edges_among_many_vertices():
+    # a path of forced arcs (heights up to 4, so stage 2 runs) beside a K4
+    # of lines, spread over n = 2,000 vertices in order: the moves are the
+    # compact graph's, relabelled.  Stage 2 builds its poset on the vertices
+    # with arcs only; over all n it took seconds
+    arcs = [(0, 2), (1, 2), (2, 3), (3, 4)]
+    lines = list(itertools.combinations(range(5, 9), 2))
+    compact = Pdag(9, arcs, lines)
+    assert is_essential_graph(compact)
+    spread = [249 * i for i in range(9)]
+
+    def relabel(pairs):
+        return [(spread[u], spread[v]) for u, v in pairs]
+
+    eg = Pdag(2000, relabel(arcs), relabel(lines))
+    start = time.perf_counter()
+    moves = emptying_sequence(eg)
+    assert time.perf_counter() - start < 0.1
+    assert moves == [
+        Move(m.kind, tuple(spread[v] for v in m.vertices))
+        for m in emptying_sequence(compact)
+    ]
 
 
 def test_hamming_distance_examples():
