@@ -13,7 +13,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .graphs import CapExceededError, maximal_cliques, require_chordal
+from .graphs import CapExceededError, bfs, maximal_cliques, require_chordal
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -57,15 +57,9 @@ def _rooted_components(adj, vertices, root):
             work.append((y, z))
     comps, seen = [], set()
     for s in lines:
-        if s in seen or not lines[s]:
-            continue
-        comp, stack = {s}, [s]
-        while stack:
-            for w in lines[stack.pop()] - comp:
-                comp.add(w)
-                stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if s not in seen and lines[s]:
+            comps.append(frozenset(bfs(s, lines.__getitem__)))
+            seen |= comps[-1]
     return comps
 
 

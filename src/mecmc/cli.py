@@ -34,6 +34,9 @@ from .graphs import (
 )
 
 MEC_LIST_CAP = 1000
+# the int-to-str digit limit that ratio lifts Python's guard to, so also
+# the most digits --precision may ask for
+RATIO_DIGITS = 50_000
 
 # why diagnose leaves a field null: one fixed sentence per cause
 NULL_LARGE = (
@@ -244,7 +247,7 @@ def cmd_ratio(args):
     if hasattr(sys, "get_int_max_str_digits"):
         old_limit = sys.get_int_max_str_digits()
     if old_limit:
-        sys.set_int_max_str_digits(max(old_limit, 50_000))
+        sys.set_int_max_str_digits(max(old_limit, RATIO_DIGITS))
     try:
         config = RunConfig(
             subcommand="ratio",
@@ -352,12 +355,14 @@ def _step_record(t, move, accepted, digest):
     )
 
 
-def _at_least(low):
-    """argparse type: an integer no smaller than ``low``."""
+def _at_least(low, high=None):
+    """argparse type: an integer from ``low`` to ``high`` (None: no top)."""
 
     def integer(text):
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return int(text)
 
     return integer
@@ -397,7 +402,7 @@ def build_parser():
         "ratio", help="DAGs-per-class count table from the poset recursions"
     )
     sp.add_argument("--nmax", type=_at_least(2), default=200)
-    sp.add_argument("--precision", type=_at_least(0), default=13)
+    sp.add_argument("--precision", type=_at_least(0, RATIO_DIGITS), default=13)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_ratio)

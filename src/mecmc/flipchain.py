@@ -266,18 +266,19 @@ def exact_tmix(tm):
     """Smallest t with max-over-starts TV(P^t(x, .), pi) <= ``TMIX_EPS``.
 
     P is symmetric, so its cached ``eigh`` gives P = V diag(lam) V^T and
-    any rows of P^t as ``(V[rows] * lam**t) @ V.T``.  Each start's TV
-    distance to uniform is non-increasing in t, so the search gallops and
-    then bisects over t on a few candidate start rows only: at first the
-    ``TMIX_ROWS`` rows with the most weight on the slow eigenvectors, those
-    farthest from uniform in L2 after twice the relaxation time, ties to the
-    lower index.  The returned t carries a certificate: one evaluation of
-    every row of P^t finds each within ``TMIX_EPS``, and some row was
-    farther than that at t - 1.  When the full evaluation finds rows still
-    farther, the worst of them join the candidates and the search resumes
-    above t.  Returns None when the chain has not mixed within
-    ``TMIX_MAX_STEPS`` (e.g. periodic chains such as the single-edge graph).
-    Rejects asymmetric input, as ``spectral_gap`` does.
+    any rows of P^t as ``(V[rows] * lam**t) @ V.T``, P^0 and P^1 included.
+    Each start's TV distance to uniform is non-increasing in t, so the
+    search gallops from t = 0, then bisects, on a few candidate start rows
+    only: at first the ``TMIX_ROWS`` rows with the most weight on the slow
+    eigenvectors, those farthest from uniform in L2 after twice the
+    relaxation time, ties to the lower index.  The returned t carries a
+    certificate: one evaluation of every row of P^t finds each within
+    ``TMIX_EPS``, and some row was farther than that at t - 1.  When the
+    full evaluation finds rows still farther, the worst of them join the
+    candidates and the search resumes above t.  Returns None when the chain
+    has not mixed within ``TMIX_MAX_STEPS`` (e.g. periodic chains such as
+    the single-edge graph).  Rejects asymmetric input, as ``spectral_gap``
+    does.
     """
     if not tm.is_symmetric():
         raise ValueError("exact_tmix expects a symmetric transition matrix")
@@ -291,9 +292,6 @@ def exact_tmix(tm):
     def worst(d):
         return np.argsort(-d, kind="stable")[:TMIX_ROWS]
 
-    d = dist(tm.matrix)
-    if d.max() <= TMIX_EPS:
-        return 1  # P^0 = I is (N - 1)/N > 1/4 from uniform
     lam, V = tm.eigh
 
     def dist_at(rows, t):
@@ -303,10 +301,10 @@ def exact_tmix(tm):
     # relaxation time, sum over k >= 2 of |lam_k|^2t V[i, k]^2
     slow = max(lam[-2], -lam[0])
     t = 2 / (1 - slow) if slow < 1 else 1
-    rows, lo = worst((V[:, :-1] ** 2) @ np.abs(lam[:-1]) ** (2 * t)), 1
+    rows, lo = worst((V[:, :-1] ** 2) @ np.abs(lam[:-1]) ** (2 * t)), 0
     while True:
-        # some row is farther than TMIX_EPS at lo: at first the one-step
-        # check found one, later the failed certificate did
+        # some row is farther than TMIX_EPS at lo: all at lo = 0, where P^0 = I
+        # is (N - 1)/N > 1/4 from uniform, later those the certificate found
         step = 1
         while True:
             hi = min(lo + step, TMIX_MAX_STEPS)

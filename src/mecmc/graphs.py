@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import defaultdict, deque
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -24,7 +25,8 @@ class NotChordalError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would exceed the configured state cap."""
+    """An enumeration would exceed the configured state cap, or a vertex
+    count the index-sized tables cannot hold."""
 
 
 def _check_vertex(v, n):
@@ -45,6 +47,21 @@ def _freeze(n, sets):
     return tuple(table)
 
 
+def bfs(start, neighbours):
+    """Breadth-first search from ``start``: a dict of the vertices reached,
+    in the order they were reached, each mapped to the vertex it was reached
+    from (``None`` for ``start``).  ``neighbours(v)`` gives the vertices one
+    step from v in the order they are tried."""
+    prev = {start: None}
+    order = [start]
+    for v in order:  # the loop also visits the vertices appended below
+        for w in neighbours(v):
+            if w not in prev:
+                prev[w] = v
+                order.append(w)
+    return prev
+
+
 def edge_key(u, v):
     """Sorted vertex pair used as the canonical undirected edge."""
     if u == v:
@@ -59,6 +76,8 @@ class Pdag:
     def __init__(self, n, arcs=(), lines=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > sys.maxsize:
+            raise CapExceededError(f"vertex count {n} exceeds {sys.maxsize}")
         self.n = n
         arc_set = set()
         for u, v in arcs:
@@ -149,25 +168,16 @@ class UndirectedGraph(Pdag):
 
     def connected_components(self):
         """Vertex sets of the connected components, each sorted."""
-        seen = [False] * self.n
-        out = []
+        seen, out = set(), []
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(sorted(comp))
+            if s not in seen:
+                comp = bfs(s, self.adj.__getitem__)
+                seen.update(comp)
+                out.append(sorted(comp))
         return out
 
     def is_connected(self):
-        return self.n <= 1 or len(self.connected_components()) == 1
+        return self.n <= 1 or len(bfs(0, self.adj.__getitem__)) == self.n
 
 
 class Dag(Pdag):
@@ -283,21 +293,13 @@ def find_chordless_cycle(g):
 
 
 def _shortest_path(g, s, t, banned):
-    prev = {s: None}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        if x == t:
-            path = []
-            while x is not None:
-                path.append(x)
-                x = prev[x]
-            return list(reversed(path))
-        for y in sorted(g.adj[x]):
-            if y not in prev and y not in banned:
-                prev[y] = x
-                queue.append(y)
-    return None
+    prev = bfs(s, lambda x: [y for y in sorted(g.adj[x]) if y not in banned])
+    if t not in prev:
+        return None
+    path = [t]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def require_chordal(g):
@@ -333,12 +335,14 @@ class CliqueTree:
 
     ``dilations[i]`` is |D_i|: the product over the other cliques t_j of
     |t_j minus s_j|! where s_j is the clique preceding t_j on the tree path
-    from t_i.  ``separator_sizes`` maps each tree edge to |t_i & t_j|.
+    from t_i.  ``adj[i]`` lists the cliques next to t_i in the tree, and
+    ``separator_sizes`` maps each tree edge to |t_i & t_j|.
     """
 
     n: int
     cliques: list
     edges: list
+    adj: list
     separator_sizes: dict = field(default_factory=dict)
     dilations: list = field(default_factory=list)
 
@@ -346,57 +350,22 @@ class CliqueTree:
     def num_cliques(self):
         return len(self.cliques)
 
-    def tree_adjacency(self):
-        adj = {i: set() for i in range(len(self.cliques))}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
     def degree(self):
         """Maximum degree of the tree (0 for a single clique)."""
-        if not self.edges:
-            return 0
-        adj = self.tree_adjacency()
-        return max(len(s) for s in adj.values())
+        return max(map(len, self.adj))
 
     def diameter(self):
         """Longest path length (in edges) of the tree."""
-        if not self.edges:
-            return 0
-        adj = self.tree_adjacency()
-
-        def far(s):
-            dist = {s: 0}
-            q = deque([s])
-            while q:
-                x = q.popleft()
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        q.append(y)
-            v = max(dist, key=lambda k: (dist[k], -k))
-            return v, dist[v]
-
-        a, _ = far(0)
-        _, d = far(a)
+        step = self.adj.__getitem__
+        # the clique reached last from any start ends a longest path
+        pred = bfs(next(reversed(bfs(0, step))), step)
+        v, d = next(reversed(pred)), 0
+        while pred[v] is not None:
+            v, d = pred[v], d + 1
         return d
 
     def max_clique_size(self):
         return max(len(c) for c in self.cliques)
-
-    def path_predecessors(self, i):
-        """For each clique j, the clique before j on the tree path from i."""
-        adj = self.tree_adjacency()
-        pred = {i: None}
-        q = deque([i])
-        while q:
-            x = q.popleft()
-            for y in adj[x]:
-                if y not in pred:
-                    pred[y] = x
-                    q.append(y)
-        return pred
 
 
 def clique_tree(g):
@@ -432,17 +401,19 @@ def clique_tree(g):
             edges.append((i, j))
     if len(edges) != k - 1:
         raise ValueError("clique intersection graph is disconnected")
-    tree = CliqueTree(n=g.n, cliques=cliques, edges=sorted(edges))
+    adj = [[] for _ in range(k)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    tree = CliqueTree(n=g.n, cliques=cliques, edges=sorted(edges), adj=adj)
     for i, j in tree.edges:
         tree.separator_sizes[(i, j)] = len(cliques[i] & cliques[j])
     for i in range(k):
-        pred = tree.path_predecessors(i)
-        d = 1
-        for j in range(k):
-            if j == i:
-                continue
-            d *= math.factorial(len(cliques[j] - cliques[pred[j]]))
-        tree.dilations.append(d)
+        # pred[j] is the clique before t_j on the tree path from t_i
+        pred = bfs(i, adj.__getitem__)
+        del pred[i]
+        fresh = (len(cliques[j] - cliques[p]) for j, p in pred.items())
+        tree.dilations.append(math.prod(map(math.factorial, fresh)))
     return tree
 
 
@@ -454,23 +425,11 @@ def has_partially_directed_cycle(p):
     children and neighbours in place, so it visits only vertices that carry
     an arc or a line, whatever ``n``.
     """
-    for u, v in p.arcs:
-        # BFS from v looking for u
-        seen = {v}
-        q = deque([v])
-        found = False
-        while q and not found:
-            x = q.popleft()
-            for y in itertools.chain(p.children[x], p.undirected_neighbors[x]):
-                if y == u:
-                    found = True
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    q.append(y)
-        if found:
-            return True
-    return False
+
+    def step(x):
+        return itertools.chain(p.children[x], p.undirected_neighbors[x])
+
+    return any(u in bfs(v, step) for u, v in p.arcs)
 
 
 # ---------------------------------------------------------------------------

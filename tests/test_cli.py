@@ -388,6 +388,14 @@ def test_ratio_restores_int_str_limit(tmp_path, limit):
         sys.set_int_max_str_digits(before)
 
 
+def test_ratio_precision_up_to_the_digit_limit(capsys):
+    # ratio lifts the int-to-str guard to 50,000 digits, the most
+    # --precision accepts (test_out_of_range_arguments_exit_2 tries 50,001)
+    assert main(["ratio", "--nmax", "3", "--precision", "50000"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [len(x.split(".")[1]) for row in rows for x in row[3:]] == [50_000] * 4
+
+
 def test_ratio_json(tmp_path):
     payload = run_to_json(
         ["ratio", "--nmax", "4", "--format", "json", "--precision", "3"],
@@ -480,6 +488,25 @@ def test_hjy_on_many_vertices(tmp_path):
     assert main(["hjy", "--nmax", "20000", "--steps", "3", "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r.get("step") for r in records] == [None, 0, 1, 2, 3]
+
+
+HUGE = 10**20  # above sys.maxsize, so no index-sized table can hold it
+
+
+def test_mec_huge_vertex_count_exits_3(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text(f"n {HUGE}\n0 -> 1\n")
+    assert main(["mec", "--input", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: vertex count {HUGE} exceeds {sys.maxsize}\n"
+    )
+
+
+def test_hjy_huge_vertex_count_exits_3(capsys):
+    assert main(["hjy", "--nmax", str(HUGE)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: vertex count {HUGE} exceeds {sys.maxsize}\n"
+    assert captured.out == ""
 
 
 def test_hjy_streams_its_records(tmp_path):
@@ -676,6 +703,7 @@ def test_cap_hint_names_no_knob_that_does_not_apply(tmp_path, capsys, monkeypatc
         (["hjy", "--steps", "ten"], "--steps"),
         (["hjy", "--nmax", "0"], "--nmax"),
         (["ratio", "--nmax", "1"], "--nmax"),
+        (["ratio", "--nmax", "3", "--precision", "50001"], "--precision"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, flag, capsys):

@@ -10,6 +10,7 @@ from mecmc.graphs import (
     NotChordalError,
     Pdag,
     UndirectedGraph,
+    bfs,
     clique_tree,
     complete_graph,
     find_chordless_cycle,
@@ -220,6 +221,33 @@ def test_chordless_cycle_witness(g):
             assert not g.has_edge(cycle[i], cycle[j])
 
 
+# exact witnesses: each starts at the first vertex failing the elimination
+# test on the MCS order, then runs along the shortest path that tries
+# neighbours in increasing order
+PINNED_CYCLES = [
+    (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5)], [4, 3, 2, 1, 0]),
+    (6, [(0, 3), (3, 5), (5, 1), (1, 4), (4, 2), (2, 0)], [5, 1, 4, 2, 0, 3]),
+    (6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 3)], [5, 4, 2, 3]),
+    (
+        7,
+        [(0, 1), (0, 2), (0, 3), (1, 2), (2, 4), (4, 5), (5, 6), (6, 3), (3, 1)],
+        [6, 5, 4, 2, 0, 3],
+    ),
+]
+
+
+@pytest.mark.parametrize("n, edges, cycle", PINNED_CYCLES)
+def test_chordless_cycle_witness_is_pinned(n, edges, cycle):
+    assert find_chordless_cycle(UndirectedGraph(n, edges)) == cycle
+
+
+def test_bfs_reaches_in_order_with_predecessors():
+    g = UndirectedGraph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+    prev = bfs(0, lambda v: sorted(g.adj[v]))
+    assert list(prev.items()) == [(0, None), (1, 0), (2, 0), (3, 1), (4, 3)]
+    assert bfs(5, g.adj.__getitem__) == {5: None}
+
+
 def test_partially_directed_cycle_examples():
     assert has_partially_directed_cycle(Pdag(3, {(0, 1)}, {(1, 2), (0, 2)}))
     assert not has_partially_directed_cycle(
@@ -335,6 +363,19 @@ def test_clique_tree_invariants(g):
             s_j = ct.cliques[path[-2]]
             prod *= factorial(len(ct.cliques[j] - s_j))
         assert ct.dilations[i] == prod
+
+
+@given(chordal_graphs(max_n=9, connected=True))
+@settings(max_examples=150, deadline=None)
+def test_clique_tree_degree_and_diameter(g):
+    ct = clique_tree(g)
+    k = len(ct.cliques)
+    paths = [_tree_path(ct.edges, a, b) for a in range(k) for b in range(k)]
+    assert ct.diameter() == max(len(path) - 1 for path in paths)
+    # a clique's tree neighbours are the second cliques on its paths
+    assert ct.degree() == max(
+        len({p[1] for p in paths if p[0] == a and len(p) > 1}) for a in range(k)
+    )
 
 
 def test_clique_tree_rejects_bad_input():
