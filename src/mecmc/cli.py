@@ -322,18 +322,23 @@ def _hjy_records(args):
             digest = hjy.state_hash(state)
         yield _step_record(t, move, accepted, digest)
     if n <= 4:
-        states, kernel = hjy.exact_kernel(Pdag(n, (), ()))
-        m = len(states)
-        symmetric = all(
-            kernel[j].get(i, 0) == w
-            for i, row in enumerate(kernel)
-            for j, w in row.items()
-        )
-        doubly = symmetric and all(sum(row.values()) == 1 for row in kernel)
+        kernel = hjy.exact_kernel(Pdag(n, (), ()))
+        # integer checks, each weight a numerator over kernel.denominator.
+        # Symmetric: the moves, reversed, carry the same weights.  Uniform
+        # stationary: no holding is negative and, as each row sums to one
+        # by construction, each column sums to one too
+        weights = [kernel.weights[k] for k in kernel.kinds]
+        moves = sorted(zip(kernel.rows, kernel.cols, weights))
+        symmetric = moves == sorted(zip(kernel.cols, kernel.rows, weights))
+        column = kernel.holding()
+        doubly = min(column) >= 0
+        for j, w in zip(kernel.cols, weights):
+            column[j] += w
+        doubly = doubly and all(c == kernel.denominator for c in column)
         yield encode(
             {
                 "uniformity": {
-                    "n_states": m,
+                    "n_states": len(kernel),
                     "symmetric": symmetric,
                     "uniform_stationary": doubly,
                 }

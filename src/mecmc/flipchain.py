@@ -112,21 +112,21 @@ def _lambda2_dense(tm):
     return tm.eigh[0][-2]
 
 
-def _lambda2_sparse(tm):
-    """Second-largest eigenvalue by restarted Lanczos with full
-    reorthogonalization (Paige 1972; Golub & Van Loan, ch. 10).
+def lanczos_lambda2(rows, cols, values, N):
+    """Second-largest eigenvalue of the symmetric N x N stochastic matrix
+    with entries ``values`` at (``rows``, ``cols``), by restarted Lanczos
+    with full reorthogonalization (Paige 1972; Golub & Van Loan, ch. 10),
+    and the Ritz residual it stopped at.
 
-    P v is one weighted gather over the flip table's entries, so no matrix
-    is built.  Every vector is kept orthogonal to the uniform vector, the
-    eigenvector of 1, so the largest Ritz value converges to lambda_2.  The
-    basis holds at most ``LANCZOS_BASIS`` vectors; when it is full the
-    iteration restarts from the top Ritz vector.  It stops once the Ritz
-    residual |beta_k s_k| is at most ``LANCZOS_TOL``, and raises
+    P v is one weighted gather over the entries, so no matrix is built.
+    Every vector is kept orthogonal to the uniform vector, the eigenvector
+    of 1, so the largest Ritz value converges to lambda_2.  The basis holds
+    at most ``LANCZOS_BASIS`` vectors; when it is full the iteration
+    restarts from the top Ritz vector.  It stops once the Ritz residual
+    |beta_k s_k| is at most ``LANCZOS_TOL``, and raises
     ``CapExceededError`` after ``LANCZOS_MATVECS`` products.  The start
     vector is fixed so that repeated calls give the same float.
     """
-    N = tm.dimension
-    rows, cols, values = tm._entries()
 
     def unit(v):
         v = v - v.mean()
@@ -150,8 +150,9 @@ def _lambda2_sparse(tm):
             b = np.linalg.norm(w)
             tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             theta, S = np.linalg.eigh(tri)
-            if b * abs(S[-1, -1]) <= LANCZOS_TOL:
-                return theta[-1]
+            residual = b * abs(S[-1, -1])
+            if residual <= LANCZOS_TOL:
+                return theta[-1], residual
             if matvecs == LANCZOS_MATVECS:
                 raise CapExceededError(
                     f"the sparse eigensolver found no lambda_2 within "
@@ -161,6 +162,11 @@ def _lambda2_sparse(tm):
                 beta.append(b)
                 Q[j + 1] = w / b
         Q[0] = unit(S[:, -1] @ Q)
+
+
+def _lambda2_sparse(rows, cols, values, N):
+    """lambda_2 of ``lanczos_lambda2``, without its residual."""
+    return lanczos_lambda2(rows, cols, values, N)[0]
 
 
 def spectral_gap(tm):
@@ -174,9 +180,9 @@ def spectral_gap(tm):
         raise ValueError("spectral_gap expects a symmetric transition matrix")
     if tm.dimension == 1:
         return 1.0
-    sparse = tm.dimension > DENSE_STATES
-    lam2 = _lambda2_sparse(tm) if sparse else _lambda2_dense(tm)
-    return float(1.0 - lam2)
+    if tm.dimension > DENSE_STATES:
+        return float(1.0 - _lambda2_sparse(*tm._entries(), tm.dimension))
+    return float(1.0 - _lambda2_dense(tm))
 
 
 def move_table(space):

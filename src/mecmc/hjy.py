@@ -18,19 +18,24 @@ connected, and every one of its moves is accepted under this rule.
 
 The walk holds its state as a ``MaskState``, edited in place; since the
 state before each edit is essential, the test looks only at the vertices
-and chain components the edit touches.
+and chain components the edit touches.  The exact kernel's breadth-first
+search codes each state as an int, two bits per vertex pair, and moves one
+``MaskState`` from state to state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Dag, Pdag, edge_key, format_pdag, perfect_elimination_ordering
 from .posets import poset_stats, reachability_poset
 
+# A kind's index k is its place here: k & 1 marks a delete or a remove, and
+# k >> 1 its tuple domain (0 ordered pairs, 1 unordered pairs, 2 triples).
 MOVE_KINDS = (
     "insert-arc",
     "delete-arc",
@@ -39,19 +44,24 @@ MOVE_KINDS = (
     "make-immorality",
     "remove-immorality",
 )
+_KIND_INDEX = {kind: k for k, kind in enumerate(MOVE_KINDS)}
+_ARITY = {kind: 3 if k >= 4 else 2 for k, kind in enumerate(MOVE_KINDS)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Move:
+    """One chain move: a kind of ``MOVE_KINDS`` and its vertex tuple.
+    ``propose`` builds one per step, so the class has slots and checks a
+    move with one lookup of its kind's arity."""
+
     kind: str
     vertices: tuple
 
     def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        want = 3 if "immorality" in self.kind else 2
-        if len(self.vertices) != want:
-            raise ValueError(f"{self.kind} takes {want} vertices")
+        if _ARITY.get(self.kind) != len(self.vertices):
+            if self.kind not in _ARITY:
+                raise ValueError(f"unknown move kind {self.kind!r}")
+            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} vertices")
 
 
 def state_hash(p):
@@ -127,21 +137,21 @@ class MaskState:
     u->v, v->u, the line u-v and any edge between u and v; ``arcs`` and
     ``lines`` hold the same edges as pairs, so ``format_pdag`` and
     ``state_hash`` read the state as they read a ``Pdag``.  ``try_move``
-    makes a move's literal edit, keeps it when the result is essential and
-    undoes it otherwise.  The state before an edit is essential, so the test
-    covers only what the edit can break (Chickering, JMLR 2002, checks
-    operator validity the same way): the state must be built from an
-    essential graph.
+    tries a move's literal edit and keeps it when the result is essential.
+    The state before an edit is essential, so the test covers only what the
+    edit can break (Chickering, JMLR 2002, checks operator validity the
+    same way): the state must be built from an essential graph.  Below, a
+    move is its kind index k and its vertex tuple.
     """
 
     def __init__(self, p):
         n = self.n = p.n
         self.par, self.chi, self.und, self.adj = [0] * n, [0] * n, [0] * n, [0] * n
-        self.arcs, self.lines = set(), set()
+        self.arcs, self.lines = set(p.arcs), set(p.lines)
         for u, v in p.arcs:
-            self._toggle_arc(u, v)
+            self._toggle(0, (u, v))
         for u, v in p.lines:
-            self._toggle_line(u, v)
+            self._toggle(2, (u, v))
 
     def key(self):
         """The ``Pdag.key()`` of the state."""
@@ -154,70 +164,86 @@ class MaskState:
         """Apply ``move`` in place and return True when its literal edit is
         an essential graph; otherwise leave the state as it was and return
         False."""
-        kind, vs = move.kind, move.vertices
-        if not self._fits(kind, vs):
+        k, vs = _KIND_INDEX[move.kind], move.vertices
+        if not (self._fits(k, vs) and self._trial(k, vs)):
             return False
-        self._toggle(kind, vs)
-        if self._essential_after(kind, vs):
-            return True
-        self._toggle(kind, vs)
-        return False
+        self._toggle(k, vs)
+        self._record(k, vs)
+        return True
 
-    def undo(self, move):
-        """Revert an accepted ``move``."""
-        self._toggle(move.kind, move.vertices)
+    def _trial(self, k, vs):
+        """Whether the literal edit of a fitting move is essential; the
+        state is as it was afterwards.  An inserted arc u->v must be
+        strongly protected, and with u, v nonadjacent before the edit its
+        protection reads the same before as after, so most insert-arc
+        trials end without an edit."""
+        if k == 0 and not self._protected(*vs):
+            return False
+        self._toggle(k, vs)
+        essential = self._essential_after(k, vs)
+        self._toggle(k, vs)
+        return essential
 
-    def _toggle_arc(self, u, v):
-        bu, bv = 1 << u, 1 << v
-        self.chi[u] ^= bv
-        self.par[v] ^= bu
-        self.adj[u] ^= bv
-        self.adj[v] ^= bu
-        self.arcs ^= {(u, v)}
-
-    def _toggle_line(self, u, v):
-        bu, bv = 1 << u, 1 << v
-        self.und[u] ^= bv
-        self.und[v] ^= bu
-        self.adj[u] ^= bv
-        self.adj[v] ^= bu
-        self.lines ^= {edge_key(u, v)}
-
-    def _toggle(self, kind, vs):
-        """Flip the marks of the pairs a move of ``kind`` edits.  Where the
-        move's precondition holds this is its literal edit, and a second
-        call undoes it: the inverse kind edits the same marks back."""
-        if len(vs) == 3:
-            a, b, c = vs
-            self._toggle_line(a, b)
-            self._toggle_line(b, c)
-            self._toggle_arc(a, b)
-            self._toggle_arc(c, b)
-        elif "arc" in kind:
-            self._toggle_arc(*vs)
+    def _toggle(self, k, vs):
+        """Flip the mask bits of the pairs a move edits.  Where the move fits
+        this is its literal edit, and a second call undoes it: the inverse
+        kind edits the same marks back.  An immorality a->b<-c swaps the
+        lines a-b, b-c for arcs and leaves ``adj`` as it was."""
+        if k < 4:
+            u, v = vs
+            bu, bv = 1 << u, 1 << v
+            if k < 2:
+                self.chi[u] ^= bv
+                self.par[v] ^= bu
+            else:
+                self.und[u] ^= bv
+                self.und[v] ^= bu
+            self.adj[u] ^= bv
+            self.adj[v] ^= bu
         else:
-            self._toggle_line(*vs)
+            a, b, c = vs
+            bb, ends = 1 << b, 1 << a | 1 << c
+            und, chi = self.und, self.chi
+            und[a] ^= bb
+            und[c] ^= bb
+            und[b] ^= ends
+            chi[a] ^= bb
+            chi[c] ^= bb
+            self.par[b] ^= ends
 
-    def _fits(self, kind, vs):
+    def _record(self, k, vs):
+        """Flip the pairs a move edits in ``arcs`` and ``lines``, as
+        ``_toggle`` flips them in the masks."""
+        if k < 4:
+            u, v = vs
+            if k < 2:
+                self.arcs ^= {(u, v)}
+            else:
+                self.lines ^= {(u, v) if u < v else (v, u)}
+        else:
+            a, b, c = vs
+            self.lines ^= {(a, b) if a < b else (b, a), (b, c) if b < c else (c, b)}
+            self.arcs ^= {(a, b), (c, b)}
+
+    def _fits(self, k, vs):
         """Whether the marks fit the move: no repeated vertex, no insert on
         an adjacent pair, no delete of a missing edge, and an immorality's
         outer vertices nonadjacent with both its edges lines (make) or both
         arcs into the middle vertex (remove)."""
-        if len(vs) == 3:
+        if k >= 4:
             a, b, c = vs
             if a == b or b == c or a == c or self.adj[a] >> c & 1:
                 return False
-            ends = self.und[b] if kind == "make-immorality" else self.par[b]
+            ends = self.par[b] if k & 1 else self.und[b]
             return ends >> a & ends >> c & 1 == 1
         u, v = vs
         if u == v:
             return False
-        if kind.startswith("insert"):
+        if not k & 1:
             return not self.adj[u] >> v & 1
-        table = self.chi if kind == "delete-arc" else self.und
-        return table[u] >> v & 1 == 1
+        return (self.chi if k == 1 else self.und)[u] >> v & 1 == 1
 
-    def _essential_after(self, kind, vs):
+    def _essential_after(self, k, vs):
         """Whether the state, just edited by a move from an essential graph,
         is essential.  Each of the four conditions is tested only where the
         edit can break it:
@@ -241,36 +267,39 @@ class MaskState:
           arc, or from the chain component a new line merged.
         """
         par, chi, und, adj = self.par, self.chi, self.und, self.adj
-        if kind.startswith("delete"):
+        if k == 1 or k == 3:
             u, v = vs
             if chi[u] & und[v] or chi[v] & und[u]:
                 return False
+        protected = self._protected
         for y in vs:
-            if und[y]:
-                for x in _bits(par[y]):
-                    if und[y] & ~adj[x]:
-                        return False
-        for y in vs:
-            for x in _bits(par[y]):
-                if not self._protected(x, y):
+            line_y, m = und[y], par[y]
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                if line_y & ~adj[x] or not protected(x, y):
                     return False
-            for z in _bits(chi[y]):
-                if not self._protected(y, z):
+            m = chi[y]
+            while m:
+                low = m & -m
+                m ^= low
+                if not protected(y, low.bit_length() - 1):
                     return False
-        if kind == "insert-arc":
+        if k == 0:
             u, v = vs
-            return not self._reach(1 << v, (chi, und), 1 << u) >> u & 1
-        if kind == "insert-line":
+            return not self._reach(1 << v, True, 1 << u) >> u & 1
+        if k == 2:
             u, v = vs
             return self._line_keeps_chordal(u, v) and not self._component_cycle(u)
-        if kind == "delete-line":
+        if k == 3:
             u, v = vs
             return self._is_clique(und[u] & und[v])
-        if kind == "make-immorality":
+        if k == 4:
             a, b, c = vs
             ends = 1 << a | 1 << c
-            return not self._reach(1 << b, (chi, und), ends) & ends
-        if kind == "remove-immorality":
+            return not self._reach(1 << b, True, ends) & ends
+        if k == 5:
             a, b, c = vs
             return (
                 self._line_keeps_chordal(a, b)
@@ -286,25 +315,25 @@ class MaskState:
         py = par[y]
         if par[x] & ~adj[y] or py & ~adj[x] & ~(1 << x) or self.chi[x] & py:
             return True  # (a), (b), (c)
-        cand = self.und[x] & py
-        for w in _bits(cand):
-            if cand & ~adj[w] & ~(1 << w):
+        cand = m = self.und[x] & py
+        while m:
+            low = m & -m
+            m ^= low
+            if cand & ~(adj[low.bit_length() - 1] | low):
                 return True  # (d)
         return False
 
-    def _reach(self, start, tables, stop=0, block=0):
-        """Mask of the vertices reached from mask ``start`` along the
-        per-vertex masks in ``tables``, never entering ``block``; the search
+    def _reach(self, start, directed, stop=0, block=0):
+        """Mask of the vertices reached from mask ``start`` along lines, and
+        arcs too when ``directed``, never entering ``block``; the search
         ends early once it reaches a vertex of ``stop``."""
+        chi, und = self.chi, self.und
         seen = frontier = start
         while frontier and not seen & stop:
             low = frontier & -frontier
-            v = low.bit_length() - 1
             frontier ^= low
-            new = 0
-            for table in tables:
-                new |= table[v]
-            new &= ~seen & ~block
+            v = low.bit_length() - 1
+            new = (und[v] | chi[v] if directed else und[v]) & ~(seen | block)
             seen |= new
             frontier |= new
         return seen
@@ -312,11 +341,14 @@ class MaskState:
     def _component_cycle(self, x):
         """Whether a partially directed cycle passes through the chain
         component of ``x``: an arc leaving it leads back into it."""
-        comp = self._reach(1 << x, (self.und,))
+        chi = self.chi
+        comp = m = self._reach(1 << x, False)
         out = 0
-        for v in _bits(comp):
-            out |= self.chi[v]
-        return self._reach(out, (self.chi, self.und), comp) & comp != 0
+        while m:
+            low = m & -m
+            m ^= low
+            out |= chi[low.bit_length() - 1]
+        return self._reach(out, True, comp) & comp != 0
 
     def _line_keeps_chordal(self, x, y):
         """Whether the line x-y, present now, keeps the lines chordal given
@@ -327,13 +359,14 @@ class MaskState:
         und = self.und
         block = und[x] & und[y] | 1 << y
         target = und[y] & ~block & ~(1 << x)
-        return not target or not self._reach(1 << x, (und,), target, block) & target
+        return not target or not self._reach(1 << x, False, target, block) & target
 
     def _is_clique(self, m):
         und = self.und
-        for v in _bits(m):
-            m ^= 1 << v
-            if m & ~und[v]:
+        while m:
+            low = m & -m
+            m ^= low
+            if m & ~und[low.bit_length() - 1]:
                 return False
         return True
 
@@ -359,10 +392,10 @@ def propose(n, rng):
     in increasing order.  ``rng`` is a numpy Generator or a ``Pcg64Draws``;
     only ``rng.integers(k)`` is called.
     """
-    kind = MOVE_KINDS[int(rng.integers(6))]
-    if n < (3 if "immorality" in kind else 2):
+    k = int(rng.integers(6))
+    if n < (3 if k >= 4 else 2):
         return None
-    if "immorality" in kind:
+    if k >= 4:
         b = int(rng.integers(n))
         i = int(rng.integers(n - 1))
         j = int(rng.integers(n - 2))
@@ -370,14 +403,13 @@ def propose(n, rng):
         lo, hi = (a, b) if a < b else (b, a)
         c = j + (j >= lo)
         c += c >= hi
-        a, c = min(a, c), max(a, c)
-        return Move(kind, (a, b, c))
+        return Move(MOVE_KINDS[k], (a, b, c) if a < c else (c, b, a))
     u = int(rng.integers(n))
     j = int(rng.integers(n - 1))
     v = j + (j >= u)
-    if "line" in kind:
-        u, v = min(u, v), max(u, v)
-    return Move(kind, (u, v))
+    if k >= 2 and v < u:
+        u, v = v, u
+    return Move(MOVE_KINDS[k], (u, v))
 
 
 RAW_BLOCK = 512  # raw PCG64 words read per refill of a ``Pcg64Draws``
@@ -448,95 +480,229 @@ def step(state, rng):
     return state, move, state.try_move(move)
 
 
-def _candidates(s):
-    """Every move whose tuple fits the marks of the mask state ``s``: line
-    and immorality tuples in sorted order only."""
-    n, adj = s.n, s.adj
-    moves = []
-    for u, v in itertools.permutations(range(n), 2):
-        if not adj[u] >> v & 1:
-            moves.append(Move("insert-arc", (u, v)))
+# ---------------------------------------------------------------------------
+# the exact kernel
+
+
+def _pairs(n):
+    """The vertex pairs u < v in lexicographic order, and ``shift`` with
+    ``shift[u][v] == shift[v][u]`` twice the index of the pair {u, v}.
+
+    A state's code holds the mark of pair p in its bits 2p and 2p + 1: 0 for
+    no edge, 1 for the line u-v, 2 for u->v and 3 for v->u."""
+    pairs = list(itertools.combinations(range(n), 2))
+    shift = [[0] * n for _ in range(n)]
+    for p, (u, v) in enumerate(pairs):
+        shift[u][v] = shift[v][u] = 2 * p
+    return pairs, shift
+
+
+def _encode(p, shift):
+    code = 0
+    for u, v in p.lines:
+        code |= 1 << shift[u][v]
+    for u, v in p.arcs:
+        code |= (2 if u < v else 3) << shift[u][v]
+    return code
+
+
+def _decode(n, code, pairs):
+    arcs, lines = [], []
+    while code:
+        p = (code & -code).bit_length() - 1 >> 1
+        mark = code >> 2 * p & 3
+        code ^= mark << 2 * p
+        u, v = pairs[p]
+        if mark == 1:
+            lines.append((u, v))
+        else:
+            arcs.append((u, v) if mark == 2 else (v, u))
+    return Pdag(n, arcs, lines)
+
+
+def _recode(s, have, want, pairs):
+    """Edit the masks of ``s`` from the state coded ``have`` to the state
+    coded ``want``, one changed pair at a time.  ``arcs`` and ``lines`` stay
+    as they were: the search reads only the masks."""
+    diff = have ^ want
+    toggle = s._toggle
+    while diff:
+        p = (diff & -diff).bit_length() - 1 >> 1
+        diff &= ~(3 << 2 * p)
+        u, v = pairs[p]
+        for mark in (have >> 2 * p & 3, want >> 2 * p & 3):
+            if mark == 1:
+                toggle(2, (u, v))
+            elif mark:
+                toggle(0, (u, v) if mark == 2 else (v, u))
+
+
+def _candidates(s, shift):
+    """(kind index, vertices, code change) of every move whose tuple fits
+    the marks of the mask state ``s``, in a fixed order: each ordered
+    nonadjacent pair (insert-arc, then insert-line when u < v), the arcs,
+    the lines, then per middle vertex b its make- and remove-immorality
+    triples (a, b, c), a < c nonadjacent."""
+    n, par, chi, und, adj = s.n, s.par, s.chi, s.und, s.adj
+    out = []
+    add = out.append
+    every = (1 << n) - 1
+    for u in range(n):
+        at = shift[u]
+        m = every & ~adj[u] & ~(1 << u)
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            add((0, (u, v), (2 if u < v else 3) << at[v]))
             if u < v:
-                moves.append(Move("insert-line", (u, v)))
-    moves += [Move("delete-arc", arc) for arc in sorted(s.arcs)]
-    moves += [Move("delete-line", line) for line in sorted(s.lines)]
+                add((2, (u, v), 1 << at[v]))
+    for u in range(n):
+        at, m = shift[u], chi[u]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            add((1, (u, v), (2 if u < v else 3) << at[v]))
+    for u in range(n):
+        at, m = shift[u], und[u] >> u << u
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            add((3, (u, v), 1 << at[v]))
     for b in range(n):
-        for kind, ends in (("make-immorality", s.und[b]), ("remove-immorality", s.par[b])):
-            for a, c in itertools.combinations(_bits(ends), 2):
-                if not adj[a] >> c & 1:
-                    moves.append(Move(kind, (a, b, c)))
-    return moves
+        at = shift[b]
+        for k, m in ((4, und[b]), (5, par[b])):
+            while m:
+                low = m & -m
+                m ^= low
+                a = low.bit_length() - 1
+                ends = m & ~adj[a]
+                while ends:
+                    low = ends & -ends
+                    ends ^= low
+                    c = low.bit_length() - 1
+                    # a line x-b becomes x->b: mark 1 <-> 2 when x < b, else 3
+                    change = (3 if a < b else 2) << at[a] ^ (3 if c < b else 2) << at[c]
+                    add((k, (a, b, c), change))
+    return out
 
 
-def _accepted(s):
-    """Yield (move, key of the result) for every move accepted from the mask
-    state ``s``, which is back as it was after each."""
-    for m in _candidates(s):
-        if s.try_move(m):
-            yield m, s.key()
-            s.undo(m)
+def _accepted(s, shift):
+    """The candidates accepted from the mask state ``s``."""
+    trial = s._trial
+    return [move for move in _candidates(s, shift) if trial(move[0], move[1])]
 
 
 def legal_moves(state):
     """All (move, result) pairs with a precondition-satisfying tuple that are
-    accepted from ``state``."""
-    return [(m, Pdag(*key)) for m, key in _accepted(MaskState(state))]
+    accepted from ``state``, line and immorality tuples in sorted order
+    only."""
+    pairs, shift = _pairs(state.n)
+    code = _encode(state, shift)
+    return [
+        (Move(MOVE_KINDS[k], vs), _decode(state.n, code ^ change, pairs))
+        for k, vs, change in _accepted(MaskState(state), shift)
+    ]
 
 
-def _breadth_first(start, depth=None):
-    """Breadth-first search over accepted moves from ``start``.
+def _search(start, depth=None):
+    """Breadth-first search over accepted moves from the Pdag ``start``, on
+    int-coded states and one ``MaskState`` moved from state to state.
 
-    Returns the states in discovery order and, for each state fewer than
-    ``depth`` moves from ``start`` (each state when ``depth`` is None), its
-    accepted moves as (move, index of the result) pairs.
+    Returns ``(codes, rows, cols, kinds)``: the state codes in discovery
+    order, and for each state fewer than ``depth`` moves from ``start``
+    (each state when ``depth`` is None) one entry per accepted move: the
+    state's index, the index of the result and the move's kind index.
     """
-    states, levels, moves = [start], [0], []
-    index = {start.key(): 0}
-    while len(moves) < len(states):
-        i = len(moves)
-        if depth is not None and levels[i] == depth:
+    pairs, shift = _pairs(start.n)
+    s = MaskState(start)
+    have = _encode(start, shift)
+    codes, index = [have], {have: 0}
+    rows, cols, kinds = array("i"), array("i"), array("b")
+    i, level, level_end = 0, 0, 1
+    while i < len(codes):
+        if i == level_end:
+            level, level_end = level + 1, len(codes)
+        if level == depth:
             break
-        row = []
-        for m, key in _accepted(MaskState(states[i])):
-            j = index.setdefault(key, len(states))
-            if j == len(states):
-                states.append(Pdag(*key))
-                levels.append(levels[i] + 1)
-            row.append((m, j))
-        moves.append(row)
-    return states, moves
+        code = codes[i]
+        _recode(s, have, code, pairs)
+        have = code
+        for k, _, change in _accepted(s, shift):
+            new = code ^ change
+            j = index.setdefault(new, len(codes))
+            if j == len(codes):
+                codes.append(new)
+            rows.append(i)
+            cols.append(j)
+            kinds.append(k)
+        i += 1
+    return codes, rows, cols, kinds
+
+
+class Kernel:
+    """The chain's exact kernel on the states reachable from a start.
+
+    ``codes[i]`` is state i in the two-bit-per-pair code of ``_pairs``;
+    ``state(i)`` decodes it to a ``Pdag``.  Accepted move t leads from state
+    ``rows[t]`` to state ``cols[t]`` by a move of kind index ``kinds[t]``,
+    with probability ``weights[kinds[t]] / denominator``: each of the six
+    kinds carries 1/6 split uniformly over its tuple domain (ordered pairs
+    for arc kinds, unordered pairs for line kinds, middle-plus-unordered-
+    outer triples for immorality kinds), so ``denominator`` is 6 times the
+    lcm of the nonempty domain sizes.  A state holds with what its moves
+    leave; an empty domain (pairs at n = 1, triples at n = 2) has no moves,
+    so its kind's 1/6 stays there.
+    """
+
+    def __init__(self, n, codes, rows, cols, kinds):
+        self.n, self.codes = n, codes
+        self.rows, self.cols, self.kinds = rows, cols, kinds
+        domains = (n * (n - 1), n * (n - 1) // 2, n * (n - 1) * (n - 2) // 2)
+        lcm = math.lcm(*(d for d in domains if d))
+        self.denominator = 6 * lcm
+        self.weights = tuple(
+            lcm // domains[k >> 1] if domains[k >> 1] else 0 for k in range(6)
+        )
+        self._vertex_pairs = _pairs(n)[0]
+
+    def __len__(self):
+        return len(self.codes)
+
+    def state(self, i):
+        return _decode(self.n, self.codes[i], self._vertex_pairs)
+
+    def holding(self):
+        """The numerator of each state's holding probability."""
+        stay, weights = [self.denominator] * len(self.codes), self.weights
+        for i, k in zip(self.rows, self.kinds):
+            stay[i] -= weights[k]
+        return stay
+
+    def entries(self):
+        """(rows, cols, values) of the kernel as numpy arrays: one entry per
+        move, then the diagonal, as ``flipchain._lambda2_sparse`` takes."""
+        import numpy as np
+
+        stay = np.arange(len(self.codes))
+        w = np.asarray(self.weights)[np.asarray(self.kinds)]
+        return (
+            np.concatenate([np.asarray(self.rows), stay]),
+            np.concatenate([np.asarray(self.cols), stay]),
+            np.concatenate([w, self.holding()]) / self.denominator,
+        )
 
 
 def exact_kernel(start):
-    """The states reachable from ``start`` and the chain's exact kernel on them.
+    """The states reachable from ``start`` and the chain's exact kernel on
+    them, as a ``Kernel`` with the states in discovery order.
 
-    One breadth-first search over accepted moves returns ``(states, K)``:
-    ``states`` in discovery order, and ``K[i]`` a dict ``{j: Fraction}``
-    holding only the moves that exist, with the holding probability at
-    ``K[i][i]``.  Each of the six kinds carries weight 1/6 split uniformly
-    over its tuple domain (ordered pairs for arc kinds, unordered pairs for
-    line kinds, middle-plus-unordered-outer triples for immorality kinds).
     The chain is connected (see ``emptying_sequence``), so from any start
     the states are all essential graphs on ``start.n`` vertices.
     """
-    states, moves = _breadth_first(start)
-    n = start.n
-    # tuple domain sizes; an empty domain (pairs at n = 1, triples at n = 2)
-    # means legal_moves never yields that kind, so its 1/6 stays on the diagonal
-    domains = {"arc": n * (n - 1), "line": n * (n - 1) // 2}
-    domains["immorality"] = domains["arc"] * (n - 2) // 2
-    weight = {k: Fraction(1, 6 * d) for k, d in domains.items() if d}
-    K = []
-    for i, accepted in enumerate(moves):
-        row = {}
-        stay = Fraction(1)
-        for move, j in accepted:
-            w = weight[move.kind.split("-")[1]]
-            row[j] = w
-            stay -= w
-        row[i] = stay
-        K.append(row)
-    return states, K
+    return Kernel(start.n, *_search(start))
 
 
 def _marks(p):
@@ -600,7 +766,8 @@ def _mark(p, u, v):
 
 def reachable_within(state, depth):
     """Canonical key -> state for every state within ``depth`` accepted moves."""
-    return {s.key(): s for s in _breadth_first(state, depth)[0]}
+    kernel = Kernel(state.n, *_search(state, depth))
+    return {p.key(): p for p in map(kernel.state, range(len(kernel)))}
 
 
 # ---------------------------------------------------------------------------

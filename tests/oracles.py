@@ -14,11 +14,15 @@ of every unvisited vertex per step.  Markov equivalence is tested on the
 definition (equal skeletons and immoralities), the flip chain's law
 after t steps comes from t vector-matrix products, and its exact mixing
 time from repeated squaring of the whole transition matrix, whose entries
-are picked out of a row index as large as the flip table.
+are picked out of a row index as large as the flip table.  The HJY chain's
+exact kernel is kept as a breadth-first search that builds a ``Move`` per
+candidate and a ``Pdag`` per result, with one ``{j: Fraction}`` row per
+state.
 """
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from mecmc.graphs import (
     is_acyclic,
     require_chordal,
 )
-from mecmc.hjy import MOVE_KINDS, Move
+from mecmc.hjy import MOVE_KINDS, MaskState, Move, apply_move
 
 
 class Amo:
@@ -414,6 +418,102 @@ def propose_by_lists(n, rng):
     if "line" in kind:
         u, v = min(u, v), max(u, v)
     return Move(kind, (u, v))
+
+
+def _mask_bits(m):
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def hjy_candidates(state):
+    """Every move whose tuple fits the marks of ``state``, built as a
+    ``Move`` each: ordered nonadjacent pairs (insert-arc, then insert-line
+    when u < v), the sorted arcs, the sorted lines, then per middle vertex
+    the make- and remove-immorality triples with nonadjacent ends."""
+    s = MaskState(state)
+    n, adj = s.n, s.adj
+    moves = []
+    for u, v in itertools.permutations(range(n), 2):
+        if not adj[u] >> v & 1:
+            moves.append(Move("insert-arc", (u, v)))
+            if u < v:
+                moves.append(Move("insert-line", (u, v)))
+    moves += [Move("delete-arc", arc) for arc in sorted(s.arcs)]
+    moves += [Move("delete-line", line) for line in sorted(s.lines)]
+    for b in range(n):
+        for kind, ends in (("make-immorality", s.und[b]), ("remove-immorality", s.par[b])):
+            for a, c in itertools.combinations(_mask_bits(ends), 2):
+                if not adj[a] >> c & 1:
+                    moves.append(Move(kind, (a, b, c)))
+    return moves
+
+
+def hjy_breadth_first(start, depth=None):
+    """``hjy``'s breadth-first search over accepted moves from ``start``,
+    one ``Pdag`` and one ``apply_move`` per candidate.
+
+    Returns the states in discovery order and, for each state fewer than
+    ``depth`` moves from ``start`` (each state when ``depth`` is None), its
+    accepted moves as (move, index of the result) pairs.
+    """
+    states, levels, moves = [start], [0], []
+    index = {start.key(): 0}
+    while len(moves) < len(states):
+        i = len(moves)
+        if depth is not None and levels[i] == depth:
+            break
+        row = []
+        for m in hjy_candidates(states[i]):
+            result = apply_move(states[i], m)
+            if result is None:
+                continue
+            j = index.setdefault(result.key(), len(states))
+            if j == len(states):
+                states.append(result)
+                levels.append(levels[i] + 1)
+            row.append((m, j))
+        moves.append(row)
+    return states, moves
+
+
+def hjy_exact_kernel(start):
+    """``(states, K)``: the states reachable from ``start`` in discovery
+    order and ``K[i]`` a dict ``{j: Fraction}`` holding only the moves that
+    exist, with the holding probability at ``K[i][i]``.  Each of the six
+    kinds carries weight 1/6 split uniformly over its tuple domain."""
+    states, moves = hjy_breadth_first(start)
+    n = start.n
+    # an empty domain (pairs at n = 1, triples at n = 2) has no moves, so
+    # its 1/6 stays on the diagonal
+    domains = {"arc": n * (n - 1), "line": n * (n - 1) // 2}
+    domains["immorality"] = domains["arc"] * (n - 2) // 2
+    weight = {k: Fraction(1, 6 * d) for k, d in domains.items() if d}
+    K = []
+    for i, accepted in enumerate(moves):
+        row = {}
+        stay = Fraction(1)
+        for move, j in accepted:
+            w = weight[move.kind.split("-")[1]]
+            row[j] = w
+            stay -= w
+        row[i] = stay
+        K.append(row)
+    return states, K
+
+
+def kernel_fractions(kernel):
+    """An ``hjy.Kernel`` in the form of ``hjy_exact_kernel``: the decoded
+    states, and each row as ``{j: Fraction}`` in move order with the
+    holding probability last."""
+    states = [kernel.state(i) for i in range(len(kernel))]
+    K = [{} for _ in states]
+    for i, j, k in zip(kernel.rows, kernel.cols, kernel.kinds):
+        K[i][j] = Fraction(kernel.weights[k], kernel.denominator)
+    for i, held in enumerate(kernel.holding()):
+        K[i][i] = Fraction(held, kernel.denominator)
+    return states, K
 
 
 def essential_graph_by_fixed_point(d):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SUITE
-from mecmc import flipchain
+from mecmc import flipchain, hjy
 from mecmc.amo import build_orientation_space
 from mecmc.cli import RunConfig, _step_record, build_parser, main
 from mecmc.graphs import (
@@ -479,6 +479,42 @@ def test_hjy_steps_zero_and_small_n(tmp_path):
         "symmetric": True,
         "uniform_stationary": True,
     }
+
+
+@pytest.mark.parametrize(
+    "edit, verdict",
+    [
+        # one move gone: its reverse has no partner, and the column of its
+        # target sums to less than one
+        ("drop", (False, False)),
+        # an insert-line (2/36 at n = 3) read as an insert-arc (1/36): it no
+        # longer weighs what its reverse weighs
+        ("reweigh", (False, False)),
+        # every weight kept, the denominator cut to 2: still symmetric, but
+        # rows hold a negative probability
+        ("overfull", (True, False)),
+    ],
+)
+def test_hjy_uniformity_verdict_reads_the_arrays(tmp_path, monkeypatch, edit, verdict):
+    exact = hjy.exact_kernel
+
+    def broken(start):
+        kernel = exact(start)
+        if edit == "drop":
+            for table in (kernel.rows, kernel.cols, kernel.kinds):
+                table.pop()
+        elif edit == "reweigh":
+            kernel.kinds[kernel.kinds.index(2)] = 0
+        else:
+            kernel.denominator = 2
+        return kernel
+
+    monkeypatch.setattr(hjy, "exact_kernel", broken)
+    out = tmp_path / "run.jsonl"
+    assert main(["hjy", "--nmax", "3", "--steps", "0", "--out", str(out)]) == 0
+    last = json.loads(out.read_text().splitlines()[-1])["uniformity"]
+    assert (last["symmetric"], last["uniform_stationary"]) == verdict
+    assert last["n_states"] == 11
 
 
 def test_hjy_on_many_vertices(tmp_path):

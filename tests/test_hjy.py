@@ -39,7 +39,14 @@ from mecmc.hjy import (
     two_step_path,
 )
 
-from oracles import apply_move_by_full_test, propose_by_lists
+from mecmc.flipchain import _lambda2_sparse
+from oracles import (
+    apply_move_by_full_test,
+    hjy_breadth_first,
+    hjy_exact_kernel,
+    kernel_fractions,
+    propose_by_lists,
+)
 from strategies import small_dags
 
 
@@ -62,6 +69,18 @@ def test_move_validation():
         Move("make-immorality", (0, 1))
     m = Move("make-immorality", (0, 1, 2))
     assert m.kind in MOVE_KINDS
+
+
+def test_move_equality_hash_and_repr():
+    m = Move("insert-arc", (0, 1))
+    assert m == Move("insert-arc", (0, 1))
+    assert hash(m) == hash(Move("insert-arc", (0, 1)))
+    assert m != Move("insert-arc", (1, 0))
+    assert m != Move("insert-line", (0, 1))
+    assert m != ("insert-arc", (0, 1))
+    assert len({m, Move("insert-arc", (0, 1)), Move("delete-arc", (0, 1))}) == 2
+    assert repr(m) == "Move(kind='insert-arc', vertices=(0, 1))"
+    assert not hasattr(m, "__dict__")
 
 
 def pdag_immoralities(p):
@@ -331,7 +350,7 @@ def test_every_accepted_result_is_essential(states3):
 
 
 def kernel_checks(n, oracle):
-    states, K = exact_kernel(Pdag(n, [], []))
+    states, K = kernel_fractions(exact_kernel(Pdag(n, [], [])))
     m = len(states)
     assert len(K) == m
     keys = [s.key() for s in states]
@@ -372,17 +391,36 @@ def test_exact_kernel_n4(states4):
 
 
 def test_exact_kernel_n5():
-    states, K = exact_kernel(Pdag(5, (), ()))
+    states, K = kernel_fractions(exact_kernel(Pdag(5, (), ())))
     assert len(states) == 8782
     for i, row in enumerate(K):
         assert sum(row.values()) == 1
         assert all(K[j].get(i) == w for j, w in row.items())
 
 
+# sha256 of repr((state keys in discovery order, (i, j, kind) of every
+# move)) for the search from the empty graph on five vertices, recorded
+# from the search that built a Move per candidate and a Pdag per state
+# (``oracles.hjy_breadth_first`` gives the same digest, in seconds more)
+KERNEL5_DIGEST = "ee3595bad8943de27e83ef7232f42d46fc5aa44261dfe6ab6b187fd7600ca057"
+
+
+@pytest.fixture(scope="module")
+def kernel5():
+    return exact_kernel(Pdag(5))
+
+
+def test_exact_kernel_n5_discovery_order_is_pinned(kernel5):
+    kernel = kernel5
+    keys = [kernel.state(i).key() for i in range(len(kernel))]
+    text = repr((keys, _kernel_moves(kernel)))
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL5_DIGEST
+
+
 def test_exact_kernel_stores_only_existing_moves():
     # one entry per accepted move plus the diagonal
     start = Pdag(3, [], [])
-    states, K = exact_kernel(start)
+    states, K = kernel_fractions(exact_kernel(start))
     assert states[0] == start
     index = {s.key(): i for i, s in enumerate(states)}
     for i, s in enumerate(states):
@@ -393,7 +431,7 @@ def test_exact_kernel_stores_only_existing_moves():
 
 def test_exact_kernel_hand_values():
     # n = 2: only the line is essential, and its kind's 1/6 covers one pair
-    states, K = exact_kernel(Pdag(2, [], []))
+    states, K = kernel_fractions(exact_kernel(Pdag(2, [], [])))
     assert states == [Pdag(2, [], []), Pdag(2, [], [(0, 1)])]
     assert K == [
         {0: Fraction(5, 6), 1: Fraction(1, 6)},
@@ -401,7 +439,7 @@ def test_exact_kernel_hand_values():
     ]
     # n = 3: a line insert weighs 1/6 over three pairs; the collider
     # 0->1<-2 leaves only by remove-immorality, 1/6 over three triples
-    states, K = exact_kernel(Pdag(3, [], []))
+    states, K = kernel_fractions(exact_kernel(Pdag(3, [], [])))
     index = {s.key(): i for i, s in enumerate(states)}
     singles = [index[Pdag(3, [], [e]).key()] for e in ((0, 1), (0, 2), (1, 2))]
     assert K[0] == {0: Fraction(5, 6), **dict.fromkeys(singles, Fraction(1, 18))}
@@ -414,7 +452,7 @@ def test_exact_kernel_from_any_start(states3):
     # the chain is connected, so every start finds every state
     want = {s.key() for s in states3}
     for start in states3:
-        states, _ = exact_kernel(start)
+        states, _ = kernel_fractions(exact_kernel(start))
         assert states[0] == start
         assert {s.key() for s in states} == want
 
@@ -424,6 +462,66 @@ def test_irreducible_from_empty(states3, states4):
     assert len(reach3) == len(states3) == 11
     reach4 = reachable_within(Pdag(4, [], []), 12)
     assert len(reach4) == len(states4) == 185
+
+
+def _kernel_moves(kernel):
+    return [
+        (i, j, MOVE_KINDS[k]) for i, j, k in zip(kernel.rows, kernel.cols, kernel.kinds)
+    ]
+
+
+def _kernel_cases():
+    yield from (Pdag(n) for n in range(1, 5))
+    yield from enumerate_essential_graphs(3)
+
+
+@pytest.mark.parametrize("start", list(_kernel_cases()), ids=repr)
+def test_array_kernel_equals_object_oracle(start):
+    # states in discovery order, moves in candidate order, and every
+    # Fraction entry with its row's order, against the search that builds a
+    # Pdag and a Move per candidate
+    kernel = exact_kernel(start)
+    states, moves = hjy_breadth_first(start)
+    assert [kernel.state(i) for i in range(len(kernel))] == states
+    assert _kernel_moves(kernel) == [
+        (i, j, m.kind) for i, row in enumerate(moves) for m, j in row
+    ]
+    got_states, got = kernel_fractions(kernel)
+    want_states, want = hjy_exact_kernel(start)
+    assert got_states == want_states
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
+def test_reachable_within_equals_oracle_search(states3):
+    starts = [Pdag(4), Pdag(4, [(0, 1), (2, 1)], [(2, 3)])] + states3
+    for start in starts:
+        for depth in range(4):
+            got = reachable_within(start, depth)
+            want = hjy_breadth_first(start, depth)[0]
+            assert list(got) == [s.key() for s in want]
+            assert list(got.values()) == want
+
+
+@pytest.mark.parametrize("n, inverse_gap", [(3, 27.4), (4, 397.4)])
+def test_kernel_gap_matches_dense_oracle(n, inverse_gap):
+    kernel = exact_kernel(Pdag(n))
+    lam2 = _lambda2_sparse(*kernel.entries(), len(kernel))
+    _, K = hjy_exact_kernel(Pdag(n))
+    dense = np.zeros((len(K), len(K)))
+    for i, row in enumerate(K):
+        for j, w in row.items():
+            dense[i, j] = float(w)
+    want = np.linalg.eigvalsh(dense)[-2]
+    assert abs(lam2 - want) <= 1e-12
+    assert round(1 / (1 - lam2), 1) == inverse_gap
+
+
+def test_kernel_gap_n5(kernel5):
+    # 8,782 states: no dense oracle here.  The solve stops at a Ritz
+    # residual of 1e-13, and 1/gap is pinned to the one decimal that
+    # scripts/hjy_spectrum.py prints
+    gap = 1 - _lambda2_sparse(*kernel5.entries(), len(kernel5))
+    assert abs(1 / gap - 794.4) < 0.05
 
 
 def test_emptying_examples():

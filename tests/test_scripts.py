@@ -12,6 +12,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # script -> (small arguments, first line of its output)
 SCRIPTS = {
     "classification_sweep.py": (["-n", "4"], "n = 4: 543 DAGs in 185 classes"),
+    "hjy_spectrum.py": (
+        ["--n", "3"],
+        "n = 3: 11 essential graphs, 30 off-diagonal moves",
+    ),
     "ratio_stabilization.py": (
         ["--nmax", "60"],
         f"{'n':>4} {'ratio':<34} {'agree':>5} adjusted",

@@ -69,14 +69,14 @@ def test_sparse_and_dense_agree_on_suite(suite_spaces):
     # ARPACK needs k = 2 < N; the smallest suite space (path3) has 3 states
     for name, space in suite_spaces.items():
         tm = transition_matrix(space)
-        assert abs(_lambda2_sparse(tm) - _lambda2_dense(tm)) <= 1e-12, name
+        assert abs(_lambda2_sparse(*tm._entries(), tm.dimension) - _lambda2_dense(tm)) <= 1e-12, name
 
 
 @settings(max_examples=30, deadline=None)
 @given(chordal_graphs(min_n=3, max_n=6, connected=True))
 def test_sparse_and_dense_agree_on_random_chordal(g):
     tm = transition_matrix(build_orientation_space(g))
-    assert abs(_lambda2_sparse(tm) - _lambda2_dense(tm)) <= 1e-12
+    assert abs(_lambda2_sparse(*tm._entries(), tm.dimension) - _lambda2_dense(tm)) <= 1e-12
 
 
 def test_sparse_path_above_crossover(two_k6_share4):
@@ -86,7 +86,7 @@ def test_sparse_path_above_crossover(two_k6_share4):
     # the sparse solve never materializes the dense matrix
     assert "matrix" not in vars(tm)
     assert gap == spectral_gap(tm)
-    assert _lambda2_sparse(tm) == _lambda2_sparse(tm)
+    assert _lambda2_sparse(*tm._entries(), tm.dimension) == _lambda2_sparse(*tm._entries(), tm.dimension)
     assert abs(gap - (1.0 - _lambda2_dense(tm))) <= 1e-12
 
 
@@ -96,7 +96,7 @@ def test_sparse_restarts_agree_with_dense(suite_spaces, monkeypatch):
     monkeypatch.setattr(flipchain, "LANCZOS_BASIS", 4)
     for name, space in suite_spaces.items():
         tm = transition_matrix(space)
-        assert abs(_lambda2_sparse(tm) - _lambda2_dense(tm)) <= 1e-12, name
+        assert abs(_lambda2_sparse(*tm._entries(), tm.dimension) - _lambda2_dense(tm)) <= 1e-12, name
 
 
 def test_sparse_solve_holds_the_basis_and_no_matrix(two_k6_share4):
@@ -104,7 +104,7 @@ def test_sparse_solve_holds_the_basis_and_no_matrix(two_k6_share4):
     tm = two_k6_share4
     bound = flipchain.LANCZOS_BASIS * tm.dimension * 8 + 3 * tm.flip_table.nbytes
     tracemalloc.start()
-    _lambda2_sparse(tm)
+    _lambda2_sparse(*tm._entries(), tm.dimension)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < bound < tm.dimension**2 * 8
