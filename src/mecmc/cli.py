@@ -309,15 +309,15 @@ def _hjy_records(args):
     """The walk's JSON lines, each yielded as soon as its step is taken."""
     n = args.nmax
     config = RunConfig(subcommand="hjy", seed=args.seed, steps=args.steps, nmax=n)
-    # the draws of default_rng(seed).integers, without numpy's per-call cost
-    rng = hjy.Pcg64Draws(args.seed)
+    # the moves of default_rng(seed).integers calls, decoded a block at a time
+    moves = hjy.proposals(n, np.random.PCG64(args.seed))
     state = hjy.MaskState(Pdag(n))
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
     yield encode({"config": config.to_dict()}) + "\n"
     digest = hjy.state_hash(state)
     yield encode({"step": 0, "state": digest}) + "\n"
     for t in range(1, args.steps + 1):
-        state, move, accepted = hjy.step(state, rng)
+        state, move, accepted = hjy.step(state, moves)
         if accepted:  # a rejected step leaves the state as it was
             digest = hjy.state_hash(state)
         yield _step_record(t, move, accepted, digest)
@@ -328,36 +328,36 @@ def _hjy_records(args):
         # stationary: no holding is negative and, as each row sums to one
         # by construction, each column sums to one too
         weights = [kernel.weights[k] for k in kernel.kinds]
-        moves = sorted(zip(kernel.rows, kernel.cols, weights))
-        symmetric = moves == sorted(zip(kernel.cols, kernel.rows, weights))
+        forward = sorted(zip(kernel.rows, kernel.cols, weights))
+        symmetric = forward == sorted(zip(kernel.cols, kernel.rows, weights))
         column = kernel.holding()
         doubly = min(column) >= 0
         for j, w in zip(kernel.cols, weights):
             column[j] += w
         doubly = doubly and all(c == kernel.denominator for c in column)
-        yield encode(
-            {
-                "uniformity": {
-                    "n_states": len(kernel),
-                    "symmetric": symmetric,
-                    "uniform_stationary": doubly,
-                }
-            }
-        ) + "\n"
+        verdict = {"n_states": len(kernel), "symmetric": symmetric}
+        verdict["uniform_stationary"] = doubly
+        yield encode({"uniformity": verdict}) + "\n"
 
 
 def _step_record(t, move, accepted, digest):
     """One step's JSON line, byte for byte as ``JSONEncoder(sort_keys=True)``
-    encodes {"step", "kind", "vertices", "accepted", "state"}; kind and
-    vertices are null when no move was drawn."""
-    if move is None:
-        kind = vertices = "null"
-    else:
-        kind, vertices = f'"{move.kind}"', list(move.vertices)
+    encodes {"step", "kind", "vertices", "accepted", "state"} for the
+    ``hjy.proposals`` move (kind index, vertices); kind and vertices are
+    null when no move was drawn."""
+    kind = vertices = "null"
+    if move is not None:
+        kind, vertices = f'"{hjy.MOVE_KINDS[move[0]]}"', _json_list(move[1])
     return (
         f'{{"accepted": {"true" if accepted else "false"}, "kind": {kind}, '
         f'"state": "{digest}", "step": {t}, "vertices": {vertices}}}\n'
     )
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _json_list(vertices):
+    """A move's vertex tuple as a JSON list, made once per tuple."""
+    return str(list(vertices))
 
 
 def _at_least(low, high=None):

@@ -135,10 +135,14 @@ def lanczos_lambda2(rows, cols, values, N):
     Q = np.empty((LANCZOS_BASIS, N))
     Q[0] = unit(np.random.default_rng(0).standard_normal(N))
     matvecs = 0
+    products = np.empty(len(values))  # the gather of every product P v
     while True:
         alpha, beta = [], []
         for j in range(LANCZOS_BASIS):
-            w = np.bincount(rows, weights=values * Q[j][cols], minlength=N)
+            # "clip" clips no index here, but unlike "raise" it needs no copy
+            np.take(Q[j], cols, out=products, mode="clip")
+            products *= values
+            w = np.bincount(rows, weights=products, minlength=N)
             matvecs += 1
             w -= w.mean()
             alpha.append(Q[j] @ w)

@@ -18,9 +18,10 @@ connected, and every one of its moves is accepted under this rule.
 
 The walk holds its state as a ``MaskState``, edited in place; since the
 state before each edit is essential, the test looks only at the vertices
-and chain components the edit touches.  The exact kernel's breadth-first
-search codes each state as an int, two bits per vertex pair, and moves one
-``MaskState`` from state to state.
+and chain components the edit touches; ``proposals`` decodes its moves
+from numpy's PCG64 words a block at a time.  The exact kernel's
+breadth-first search codes each state as an int, two bits per vertex pair,
+and moves one ``MaskState`` from state to state.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .graphs import Dag, Pdag, edge_key, format_pdag, perfect_elimination_ordering
+from .graphs import Dag, Pdag, edge_key, perfect_elimination_ordering
 from .posets import poset_stats, reachability_poset
 
 # A kind's index k is its place here: k & 1 marks a delete or a remove, and
@@ -50,9 +51,8 @@ _ARITY = {kind: 3 if k >= 4 else 2 for k, kind in enumerate(MOVE_KINDS)}
 
 @dataclass(slots=True, unsafe_hash=True)
 class Move:
-    """One chain move: a kind of ``MOVE_KINDS`` and its vertex tuple.
-    ``propose`` builds one per step, so the class has slots and checks a
-    move with one lookup of its kind's arity."""
+    """One chain move: a kind of ``MOVE_KINDS`` and its vertex tuple.  The
+    walk and the exact kernel carry a move as its kind index and tuple."""
 
     kind: str
     vertices: tuple
@@ -64,10 +64,28 @@ class Move:
             raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} vertices")
 
 
+class _EdgeLines(dict):
+    """Each edge's text line, made on first lookup; emptied at 2**16 edges."""
+
+    def __init__(self, mark):
+        self.mark = mark
+
+    def __missing__(self, edge):
+        if len(self) >= 1 << 16:
+            self.clear()
+        line = self[edge] = f"{edge[0]} {self.mark} {edge[1]}\n"
+        return line
+
+
+_LINE_TEXT, _ARC_TEXT = _EdgeLines("--"), _EdgeLines("->")
+
+
 def state_hash(p):
-    """Stable short digest of the canonical text form of a ``Pdag`` or a
-    ``MaskState``."""
-    return hashlib.sha256(format_pdag(p).encode()).hexdigest()[:12]
+    """Stable short digest of ``format_pdag`` of a ``Pdag`` or a
+    ``MaskState``; both hold lines as sorted pairs, so cached lines serve."""
+    text = [f"n {p.n}\n"] + [_LINE_TEXT[e] for e in sorted(p.lines)]
+    text += [_ARC_TEXT[e] for e in sorted(p.arcs)]
+    return hashlib.sha256("".join(text).encode()).hexdigest()[:12]
 
 
 def consistent_extension(p):
@@ -161,10 +179,13 @@ class MaskState:
         return Pdag(self.n, self.arcs, self.lines)
 
     def try_move(self, move):
-        """Apply ``move`` in place and return True when its literal edit is
-        an essential graph; otherwise leave the state as it was and return
-        False."""
-        k, vs = _KIND_INDEX[move.kind], move.vertices
+        """``try_edit`` of the ``Move`` ``move``."""
+        return self.try_edit(_KIND_INDEX[move.kind], move.vertices)
+
+    def try_edit(self, k, vs):
+        """Apply the move of kind index k on the tuple vs in place and return
+        True when its literal edit is an essential graph; otherwise leave
+        the state as it was and return False."""
         if not (self._fits(k, vs) and self._trial(k, vs)):
             return False
         self._toggle(k, vs)
@@ -383,101 +404,86 @@ def apply_move(state, move):
     return s.pdag() if s.try_move(move) else None
 
 
-def propose(n, rng):
-    """Draw a uniformly random move: kind first, then a uniform tuple.
+RAW_BLOCK = 512  # raw PCG64 words ``proposals`` decodes at a time
 
-    Returns None when the drawn kind has no valid tuple (immorality kinds
-    need three vertices, edge kinds two); the step counts as a rejection.
-    Each later vertex is a uniform index into the vertices not yet drawn,
-    in increasing order.  ``rng`` is a numpy Generator or a ``Pcg64Draws``;
-    only ``rng.integers(k)`` is called.
+
+def proposals(n, bits):
+    """The walk's moves on n vertices, forever: (kind index k, vertex
+    tuple), or None when kind k has no tuple on n vertices.  They are the
+    moves of one ``numpy.random.Generator(bits).integers`` call per draw:
+    integers(6) for k, then x = integers(n), y = integers(n - 1) and, for
+    an immorality, z = integers(n - 2), made a tuple by ``_tuple``.
+
+    From 4 to 2**32 vertices every draw is a 32-bit half of the words of
+    the ``PCG64`` ``bits``, low half first, scaled by Lemire's rule (ACM
+    TOMACS 2019; ``_lemire``), and a rejected draw is retried on the next
+    half.  So the words are read ``RAW_BLOCK`` at a time, each high is
+    applied to all their halves at once, and a step reads its draws at the
+    next three or four halves.  Elsewhere a draw may take a whole word while
+    a half waits, or take nothing (integers(1)): there the draws are the
+    Generator's own.
     """
-    k = int(rng.integers(6))
-    if n < (3 if k >= 4 else 2):
-        return None
-    if k >= 4:
-        b = int(rng.integers(n))
-        i = int(rng.integers(n - 1))
-        j = int(rng.integers(n - 2))
-        a = i + (i >= b)
-        lo, hi = (a, b) if a < b else (b, a)
-        c = j + (j >= lo)
-        c += c >= hi
-        return Move(MOVE_KINDS[k], (a, b, c) if a < c else (c, b, a))
-    u = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    v = j + (j >= u)
-    if k >= 2 and v < u:
-        u, v = v, u
-    return Move(MOVE_KINDS[k], (u, v))
+    import numpy as np
 
-
-RAW_BLOCK = 512  # raw PCG64 words read per refill of a ``Pcg64Draws``
-
-
-class Pcg64Draws:
-    """The draws of ``numpy.random.default_rng(seed).integers(high)``,
-    reproduced from the generator's raw 64-bit words.
-
-    A scalar ``integers`` call pays numpy's per-call overhead; ``step``
-    makes about four per chain step.  This stream reads the words in blocks
-    and applies numpy's rules itself, so a sequence of ``integers(high)``
-    calls returns what the same calls on the Generator return:
-
-    - ``high == 1`` returns 0 and draws nothing;
-    - ``high <= 2**32`` draws 32-bit halves, the low half of a word first
-      and its high half on the next such draw (PCG64's ``next_uint32``);
-    - a larger ``high`` takes a whole word and leaves a pending half
-      pending;
-    - each draw x of w bits is scaled by Lemire's method (ACM TOMACS 2019):
-      m = x * high, retried while ``m mod 2**w < 2**w mod high``, and the
-      result is ``m >> w``.
-    """
-
-    def __init__(self, seed):
-        import numpy as np
-
-        self._raw = np.random.default_rng(seed).bit_generator.random_raw
-        self._words = iter(())
-        self._half = None
-
-    def _word(self):
-        try:
-            return next(self._words)
-        except StopIteration:
-            self._words = iter(self._raw(RAW_BLOCK).tolist())
-            return next(self._words)
-
-    def integers(self, high):
-        if high == 1:
-            return 0
-        if high > 1 << 32:
-            threshold = (1 << 64) % high
-            while True:
-                m = self._word() * high
-                if m & 0xFFFFFFFFFFFFFFFF >= threshold:
-                    return m >> 64
-        threshold = (1 << 32) % high
+    if n < 4 or n > 1 << 32:
+        draw = np.random.Generator(bits).integers
         while True:
-            x = self._half
-            if x is None:
-                x = self._word()
-                self._half = x >> 32
-                x &= 0xFFFFFFFF
-            else:
-                self._half = None
-            m = x * high
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
+            k = int(draw(6))
+            size = 3 if k >= 4 else 2
+            xyz = [int(draw(n - i)) for i in range(size)] if n >= size else None
+            yield xyz and (k, _tuple(k, *xyz))
+    halves, p = np.empty(0, np.uint64), 0
+    kinds = xs = ys = zs = ()
+    while True:
+        try:
+            k, x, y = kinds[p], xs[p + 1], ys[p + 2]
+            z = zs[p + 3] if k >= 4 else 0
+        except IndexError:  # the step runs past the block: read the next
+            words = bits.random_raw(RAW_BLOCK)
+            block = np.stack((words & 0xFFFFFFFF, words >> np.uint64(32)), axis=1)
+            halves, p = np.concatenate((halves[p:], block.ravel())), 0
+        else:
+            if k | x | y | z >= 0:  # a rejected draw reads -1
+                p += 4 if k >= 4 else 3
+                yield k, _tuple(k, x, y, z)
+                continue
+            # dropping the half of the first rejected draw retries it on the next
+            halves = np.delete(halves, p + (k, x, y, z).index(-1))
+        kinds, xs, ys, zs = (_lemire(halves, h) for h in (6, n, n - 1, n - 2))
 
 
-def step(state, rng):
-    """One lazy chain step on the ``MaskState`` ``state``, in place; the
-    state is unchanged when the proposal is rejected."""
-    move = propose(state.n, rng)
-    if move is None:
-        return state, move, False
-    return state, move, state.try_move(move)
+def _lemire(halves, high):
+    """Each 32-bit draw h of ``halves`` scaled to range(high), as a list:
+    m >> 32 for m = h * high, or -1, rejected, when m mod 2**32 is below
+    2**32 mod high."""
+    import numpy as np
+
+    m = halves * np.uint64(high)
+    scaled = (m >> np.uint64(32)).astype(np.int64)
+    scaled[m & 0xFFFFFFFF < np.uint64((1 << 32) % high)] = -1
+    return scaled.tolist()
+
+
+def _tuple(k, x, y, z=0):
+    """The tuple of a kind-k move drawn as x, y, z: an edge from x to the
+    y-th other vertex (a line sorted), or an immorality a->x<-c, a the y-th
+    vertex other than x, c the z-th other than a and x, with a < c."""
+    if k >= 4:
+        b, a = x, y + (y >= x)
+        lo, hi = (a, b) if a < b else (b, a)
+        c = z + (z >= lo)
+        c += c >= hi
+        return (a, b, c) if a < c else (c, b, a)
+    v = y + (y >= x)
+    return (v, x) if k >= 2 and v < x else (x, v)
+
+
+def step(state, moves):
+    """One lazy chain step on the ``MaskState`` ``state``, in place, with
+    the next move of the ``proposals`` stream ``moves``; the state is
+    unchanged when the move is rejected."""
+    move = next(moves)
+    return state, move, move is not None and state.try_edit(*move)
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +712,8 @@ def exact_kernel(start):
 
 
 def _marks(p):
-    """The (u, v, mark) triple of each edge of ``p``, u < v, in the
-    convention of ``_mark``."""
+    """The (u, v, mark) triple of each edge of ``p``, u < v: the mark is
+    "line", ">" for u->v or "<" for v->u."""
     out = {(u, v, "line") for u, v in p.lines}
     out.update((u, v, ">") if u < v else (v, u, "<") for u, v in p.arcs)
     return out
@@ -751,17 +757,6 @@ def two_step_path(e1, e2):
     if s.key() != e2.key():
         raise ValueError("joining moves did not reach the target")
     return moves
-
-
-def _mark(p, u, v):
-    """The mark of the pair u, v: "line", ">" for u->v, "<" for v->u, or None."""
-    if edge_key(u, v) in p.lines:
-        return "line"
-    if (u, v) in p.arcs:
-        return ">"
-    if (v, u) in p.arcs:
-        return "<"
-    return None
 
 
 def reachable_within(state, depth):

@@ -17,7 +17,7 @@ time from repeated squaring of the whole transition matrix, whose entries
 are picked out of a row index as large as the flip table.  The HJY chain's
 exact kernel is kept as a breadth-first search that builds a ``Move`` per
 candidate and a ``Pdag`` per result, with one ``{j: Fraction}`` row per
-state.
+state, and its proposals as one ``Generator.integers`` call per draw.
 """
 
 import itertools
@@ -398,9 +398,90 @@ def apply_move_by_full_test(state, move):
     return edited
 
 
+def pair_mark(p, u, v):
+    """The mark of the pair u, v: "line", ">" for u->v, "<" for v->u, or None."""
+    if edge_key(u, v) in p.lines:
+        return "line"
+    if (u, v) in p.arcs:
+        return ">"
+    if (v, u) in p.arcs:
+        return "<"
+    return None
+
+
+def propose(n, rng):
+    """Draw a uniformly random move, one ``rng.integers`` call per draw: the
+    law ``hjy.proposals`` decodes in blocks of raw words.
+
+    Returns None when the drawn kind has no valid tuple (immorality kinds
+    need three vertices, edge kinds two); the step counts as a rejection.
+    Each later vertex is a uniform index into the vertices not yet drawn,
+    in increasing order.  ``rng`` is a numpy Generator or a ``RawDraws``.
+    """
+    k = int(rng.integers(6))
+    if n < (3 if k >= 4 else 2):
+        return None
+    if k >= 4:
+        b = int(rng.integers(n))
+        i = int(rng.integers(n - 1))
+        j = int(rng.integers(n - 2))
+        a = i + (i >= b)
+        lo, hi = (a, b) if a < b else (b, a)
+        c = j + (j >= lo)
+        c += c >= hi
+        return Move(MOVE_KINDS[k], (a, b, c) if a < c else (c, b, a))
+    u = int(rng.integers(n))
+    j = int(rng.integers(n - 1))
+    v = j + (j >= u)
+    if k >= 2 and v < u:
+        u, v = v, u
+    return Move(MOVE_KINDS[k], (u, v))
+
+
+class RawDraws:
+    """``numpy.random.Generator(bits).integers(high)``, one call at a time,
+    from the raw 64-bit words of the bit generator ``bits``:
+
+    - ``high == 1`` returns 0 and draws nothing;
+    - ``high <= 2**32`` draws 32-bit halves, the low half of a word first
+      and its high half on the next such draw (PCG64's ``next_uint32``);
+    - a larger ``high`` takes a whole word and leaves a pending half
+      pending;
+    - each draw x of w bits is scaled by Lemire's method: m = x * high,
+      retried while ``m mod 2**w < 2**w mod high``, and the result is
+      ``m >> w``.
+    """
+
+    def __init__(self, bits):
+        self._raw = bits.random_raw
+        self._half = None
+
+    def integers(self, high):
+        if high == 1:
+            return 0
+        if high > 1 << 32:
+            threshold = (1 << 64) % high
+            while True:
+                m = int(self._raw()) * high
+                if m & 0xFFFFFFFFFFFFFFFF >= threshold:
+                    return m >> 64
+        threshold = (1 << 32) % high
+        while True:
+            x = self._half
+            if x is None:
+                x = int(self._raw())
+                self._half = x >> 32
+                x &= 0xFFFFFFFF
+            else:
+                self._half = None
+            m = x * high
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
 def propose_by_lists(n, rng):
-    """``hjy.propose`` with each later vertex picked from an explicit list
-    of the vertices not yet drawn; the same draws give the same move."""
+    """``propose`` with each later vertex picked from an explicit list of
+    the vertices not yet drawn; the same draws give the same move."""
     kind = MOVE_KINDS[int(rng.integers(6))]
     if n < (3 if "immorality" in kind else 2):
         return None

@@ -30,7 +30,7 @@ from mecmc.graphs import (
     star_graph,
 )
 from mecmc.graphs import Dag, UndirectedGraph
-from mecmc.hjy import MOVE_KINDS, Move
+from mecmc.hjy import MOVE_KINDS
 from oracles import render_sample_amo, sample_many_by_rows
 from strategies import small_dags, small_graphs
 
@@ -561,22 +561,43 @@ def test_hjy_streams_its_records(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "move",
-    [None]
-    + [Move(k, (0, 3, 11) if "immorality" in k else (12, 4)) for k in MOVE_KINDS],
+    "move", [None] + [(k, (0, 3, 11) if k >= 4 else (12, 4)) for k in range(6)]
 )
 @pytest.mark.parametrize("accepted", [False, True])
 def test_hjy_step_record_is_the_sorted_json(move, accepted):
     encode = json.JSONEncoder(sort_keys=True).encode
-    record = {
-        "step": 1234,
-        "kind": move.kind if move else None,
-        "vertices": list(move.vertices) if move else None,
-        "accepted": accepted,
-        "state": "0123456789ab",
-    }
-    line = _step_record(1234, move, accepted, "0123456789ab")
-    assert line == encode(record) + "\n"
+    for t, digest in ((1234, "0123456789ab"), (7, "ba9876543210")):
+        record = {
+            "step": t,
+            "kind": MOVE_KINDS[move[0]] if move else None,
+            "vertices": list(move[1]) if move else None,
+            "accepted": accepted,
+            "state": digest,
+        }
+        # the second record reuses the vertex list cached for the first
+        line = _step_record(t, move, accepted, digest)
+        assert line == encode(record) + "\n"
+
+
+def test_hjy_walk_is_one_step_call_per_step(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps hjy.step the same way: its calls are
+    # hjy.steps, and the sum of int(out[2]) the accepted ones
+    calls, accepted = [], []
+    real = hjy.step
+
+    def counted(*args):
+        out = real(*args)
+        calls.append(args)
+        accepted.append(int(out[2]))
+        return out
+
+    monkeypatch.setattr(hjy, "step", counted)
+    out = tmp_path / "run.jsonl"
+    argv = ["hjy", "--nmax", "10", "--steps", "1500", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(calls) == 1500
+    assert sum(accepted) == sum(r.get("accepted") is True for r in records) > 50
 
 
 # sha256 of the `mecmc hjy` output, recorded while apply_move still repaired

@@ -17,13 +17,11 @@ from mecmc.essential import (
     essential_graph_of_dag,
     is_essential_graph,
 )
-from mecmc.graphs import Dag, Pdag, edge_key, immoralities
+from mecmc.graphs import Dag, Pdag, edge_key, format_pdag, immoralities
 from mecmc.hjy import (
     MOVE_KINDS,
     MaskState,
     Move,
-    Pcg64Draws,
-    _mark,
     apply_move,
     consistent_extension,
     counterexample_family,
@@ -32,7 +30,7 @@ from mecmc.hjy import (
     exact_kernel,
     hamming_distance,
     legal_moves,
-    propose,
+    proposals,
     reachable_within,
     state_hash,
     step,
@@ -41,10 +39,13 @@ from mecmc.hjy import (
 
 from mecmc.flipchain import _lambda2_sparse
 from oracles import (
+    RawDraws,
     apply_move_by_full_test,
     hjy_breadth_first,
     hjy_exact_kernel,
     kernel_fractions,
+    pair_mark,
+    propose,
     propose_by_lists,
 )
 from strategies import small_dags
@@ -153,8 +154,8 @@ def test_extensions_of_essential_graphs_stay_in_class(states4):
 
 
 # The marks each move kind needs at its pairs before the edit and leaves
-# after it, in the convention of hjy._mark: ">" is an arc from the pair's
-# first vertex to its second, "line" a line, None no edge.
+# after it, in the convention of oracles.pair_mark: ">" is an arc from the
+# pair's first vertex to its second, "line" a line, None no edge.
 def move_marks(move):
     kind = move.kind
     if "immorality" in kind:
@@ -171,7 +172,7 @@ def literal_edit(state, move):
     """The edit a move names, built from ``move_marks`` alone; None when the
     state does not carry the marks the move needs."""
     before, after = move_marks(move)
-    if any(_mark(state, u, v) != m for (u, v), m in before.items()):
+    if any(pair_mark(state, u, v) != m for (u, v), m in before.items()):
         return None
     touched = {frozenset(pair) for pair in after}
     arcs = {a for a in state.arcs if frozenset(a) not in touched}
@@ -267,23 +268,92 @@ PCG64_HIGHS = (1, 2, 3, 6, 10, 57, 3 * 10**9, 2**32, 2**32 + 1, 5 * 10**9)
 PCG64_HIGHS += (2**62 + 12345,)
 
 
-def test_pcg64_draws_match_generator_integers(monkeypatch):
-    # a three-word block makes draws cross block edges, with a half pending
-    monkeypatch.setattr(hjy, "RAW_BLOCK", 3)
+def test_pcg64_draws_match_generator_integers():
+    # the one-call-at-a-time reference that the zero-word test below checks
+    # the decoder against
     for seed in range(200):
         pick = random.Random(seed)
         highs = [pick.choice(PCG64_HIGHS) for _ in range(1000)]
-        stream, rng = Pcg64Draws(seed), np.random.default_rng(seed)
+        stream = RawDraws(np.random.PCG64(seed))
+        rng = np.random.default_rng(seed)
         want = [int(rng.integers(h)) for h in highs]
         assert [stream.integers(h) for h in highs] == want
 
 
+def as_move(move):
+    """A ``proposals`` move as the ``Move`` (or None) that ``propose`` makes."""
+    return move and Move(MOVE_KINDS[move[0]], move[1])
+
+
+def assert_proposals_follow(n, bits, rng, steps):
+    moves = proposals(n, bits)
+    for _ in range(steps):
+        assert as_move(next(moves)) == propose(n, rng)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 57])
 def test_pcg64_draws_propose_like_generator(monkeypatch, n):
+    # a three-word block makes steps straddle block edges, with a half
+    # pending; below n = 4, where some draws are integers(1) and draw
+    # nothing, the stream makes the Generator's own calls
     monkeypatch.setattr(hjy, "RAW_BLOCK", 3)
-    stream, rng = Pcg64Draws(n), np.random.default_rng(n)
-    for _ in range(5000):
-        assert propose(n, stream) == propose(n, rng)
+    assert_proposals_follow(n, np.random.PCG64(n), np.random.default_rng(n), 5000)
+
+
+# 2**32 mod 3e9 = 1.29e9, so about 30% of the vertex draws are rejected and
+# retried, across block edges; from 2**32 + 1 on a vertex draw takes a
+# whole word while the half after a kind draw waits
+@pytest.mark.parametrize("n", [3 * 10**9, 2**32, 2**32 + 1, 5 * 10**9])
+def test_pcg64_proposals_at_large_n(monkeypatch, n):
+    monkeypatch.setattr(hjy, "RAW_BLOCK", 3)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        assert_proposals_follow(n, np.random.PCG64(seed), rng, 2000)
+
+
+class Spliced:
+    """The raw words of ``PCG64(seed)`` with a zero word put in at each
+    index of ``zeros``."""
+
+    def __init__(self, seed, zeros):
+        self.words = np.random.PCG64(seed).random_raw(5000).tolist()
+        for i in sorted(zeros, reverse=True):
+            self.words.insert(i, 0)
+        self.words.reverse()
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop()
+        return np.array([self.words.pop() for _ in range(size)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("zeros", [[0], [1, 2], [5, 40, 41, 42, 300]])
+def test_pcg64_proposals_retry_a_zero_word(monkeypatch, zeros):
+    # a zero half is rejected for 6, 10 and 9 (2**32 mod 6 = 4, mod 10 = 6,
+    # mod 9 = 4) and taken as 0 for 8, which divides 2**32
+    monkeypatch.setattr(hjy, "RAW_BLOCK", 3)
+    for seed in range(20):
+        draws = RawDraws(Spliced(seed, zeros))
+        assert_proposals_follow(10, Spliced(seed, zeros), draws, 1000)
+
+
+def test_state_hash_is_the_sha256_of_format_pdag():
+    def want(p):
+        return hashlib.sha256(format_pdag(p).encode()).hexdigest()[:12]
+
+    for n, seed in ((10, 3), (12, 4), (40, 5)):
+        moves = proposals(n, np.random.PCG64(seed))
+        s, seen = MaskState(Pdag(n)), 0
+        for _ in range(3000):
+            s, move, accepted = step(s, moves)
+            if accepted:
+                assert state_hash(s) == want(s) == state_hash(s.pdag())
+                seen += 1
+        assert seen > 100
+    # more edges than the per-edge line cache keeps
+    arcs = [(v, v + 1) for v in range(0, 69_999, 2)]
+    path = Pdag(70_000, arcs, [(v, v + 1) for v in range(1, 69_999, 2)])
+    assert state_hash(path) == want(path)
 
 
 def test_accepted_moves_are_literal_edits_n4(states4):
@@ -291,7 +361,7 @@ def test_accepted_moves_are_literal_edits_n4(states4):
         for m, r in legal_moves(s):
             assert hamming_distance(s, r) == (2 if "immorality" in m.kind else 1)
             _, after = move_marks(m)
-            assert all(_mark(r, u, v) == mark for (u, v), mark in after.items())
+            assert all(pair_mark(r, u, v) == mark for (u, v), mark in after.items())
 
 
 def test_apply_move_examples():
@@ -694,11 +764,12 @@ def test_propose_step_and_hash():
     assert seen_kinds == set(MOVE_KINDS)
 
     s = MaskState(Pdag(3, [], []))
+    moves = proposals(3, np.random.PCG64(11))
     visited = {s.key()}
     hashes = {state_hash(s)}
     for _ in range(4000):
         before = s.key()
-        s, move, accepted = step(s, rng)
+        s, move, accepted = step(s, moves)
         assert accepted or s.key() == before
         assert is_essential_graph(s.pdag())
         assert state_hash(s) == state_hash(s.pdag())
