@@ -4,8 +4,8 @@ One binary with subcommands; every output embeds the RunConfig (seed
 included) that produced it, and identical configs produce byte-identical
 files.  Exact quantities (counts, rationals) are serialized as strings,
 floats as plain JSON numbers.  Exit codes: 0 success, 2 invalid input,
-3 a size cap exceeded (the hint names MECMC_STATE_CAP where it applies) or
-memory exhausted.
+3 a size cap exceeded (the hint names MECMC_STATE_CAP where it applies),
+memory exhausted, or stdout closed by its reader before the output ended.
 """
 
 from __future__ import annotations
@@ -446,6 +446,14 @@ def main(argv=None):
         # numpy's message names the size: "Unable to allocate 7.28 TiB ..."
         why = str(e) or "allocation failed"
         print(f"error: out of memory: {why}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output ended", file=sys.stderr)
         return 3
 
 

@@ -330,8 +330,9 @@ class MaskState:
         return True  # delete-arc
 
     def _protected(self, x, y):
-        """The four strong-protection configurations of x->y, as in
-        ``essential.is_strongly_protected``."""
+        """Whether the arc x->y is strongly protected: (a) w->x with w, y
+        nonadjacent; (b) w->y with w, x nonadjacent; (c) x->w->y; (d) lines
+        w1-x, w2-x with w1->y, w2->y and w1, w2 nonadjacent."""
         par, adj = self.par, self.adj
         py = par[y]
         if par[x] & ~adj[y] or py & ~adj[x] & ~(1 << x) or self.chi[x] & py:
@@ -599,18 +600,6 @@ def _accepted(s, shift):
     """The candidates accepted from the mask state ``s``."""
     trial = s._trial
     return [move for move in _candidates(s, shift) if trial(move[0], move[1])]
-
-
-def legal_moves(state):
-    """All (move, result) pairs with a precondition-satisfying tuple that are
-    accepted from ``state``, line and immorality tuples in sorted order
-    only."""
-    pairs, shift = _pairs(state.n)
-    code = _encode(state, shift)
-    return [
-        (Move(MOVE_KINDS[k], vs), _decode(state.n, code ^ change, pairs))
-        for k, vs, change in _accepted(MaskState(state), shift)
-    ]
 
 
 def _search(start, depth=None):

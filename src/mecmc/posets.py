@@ -182,21 +182,6 @@ def count_essential_dags_via_posets(n):
     return total
 
 
-def singleton_class_count_bruteforce(n):
-    """Count size-1 equivalence classes by grouping DAGs on their class
-    signature (skeleton, immoralities).  Desk scale: n <= 5."""
-    from .essential import enumerate_dags
-    from .graphs import immoralities
-
-    if n > 5:
-        raise ValueError("brute-force singleton count capped at n = 5")
-    sizes = {}
-    for d in enumerate_dags(n):
-        sig = (d.skeleton().edges, immoralities(d))
-        sizes[sig] = sizes.get(sig, 0) + 1
-    return sum(1 for v in sizes.values() if v == 1)
-
-
 # ---------------------------------------------------------------------------
 # recursions and the asymptotic ratio
 

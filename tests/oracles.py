@@ -18,6 +18,8 @@ are picked out of a row index as large as the flip table.  The HJY chain's
 exact kernel is kept as a breadth-first search that builds a ``Move`` per
 candidate and a ``Pdag`` per result, with one ``{j: Fraction}`` row per
 state, and its proposals as one ``Generator.integers`` call per draw.
+Strong protection and the four-condition test of an essential graph read
+a ``Pdag``'s parent, child and line sets, never the library's masks.
 """
 
 import itertools
@@ -27,17 +29,28 @@ from fractions import Fraction
 import numpy as np
 
 from mecmc.amo import peo_orientation
-from mecmc.essential import is_essential_graph, is_strongly_protected, mec_of_dag
+from mecmc.essential import enumerate_dags, mec_of_dag
 from mecmc.flipchain import TMIX_EPS, TMIX_MAX_STEPS
 from mecmc.graphs import (
     Pdag,
     edge_key,
     format_graph,
+    has_partially_directed_cycle,
     immoralities,
     is_acyclic,
+    is_chordal,
     require_chordal,
 )
-from mecmc.hjy import MOVE_KINDS, MaskState, Move, apply_move
+from mecmc.hjy import (
+    MOVE_KINDS,
+    MaskState,
+    Move,
+    _accepted,
+    _decode,
+    _encode,
+    _pairs,
+    apply_move,
+)
 
 
 class Amo:
@@ -390,12 +403,24 @@ def _edit(state, move):
 
 def apply_move_by_full_test(state, move):
     """The HJY chain's acceptance rule, tested on the whole edited graph:
-    the literal edit when all four conditions of ``is_essential_graph``
-    hold, None otherwise."""
+    the literal edit when all four conditions of
+    ``is_essential_graph_by_conditions`` hold, None otherwise."""
     edited = _edit(state, move)
-    if edited is None or not is_essential_graph(edited):
+    if edited is None or not is_essential_graph_by_conditions(edited):
         return None
     return edited
+
+
+def legal_moves(state):
+    """All (move, result) pairs with a precondition-satisfying tuple that are
+    accepted from ``state``, line and immorality tuples in sorted order
+    only."""
+    pairs, shift = _pairs(state.n)
+    code = _encode(state, shift)
+    return [
+        (Move(MOVE_KINDS[k], vs), _decode(state.n, code ^ change, pairs))
+        for k, vs, change in _accepted(MaskState(state), shift)
+    ]
 
 
 def pair_mark(p, u, v):
@@ -597,6 +622,51 @@ def kernel_fractions(kernel):
     return states, K
 
 
+def is_strongly_protected(p, arc):
+    """Whether the arc u->v of the Pdag ``p`` sits in one of the four
+    protecting configurations, read off its parent, child and line sets:
+
+    (a) w->u->v with w, v nonadjacent;
+    (b) u->v<-w with u, w nonadjacent;
+    (c) some w with u->w->v alongside u->v;
+    (d) undirected neighbors w1-u, w2-u with w1->v, w2->v, w1, w2 nonadjacent.
+    """
+    u, v = arc
+    if (u, v) not in p.arcs:
+        raise ValueError(f"{arc} is not an arc of the graph")
+    for w in p.parents[u]:
+        if w != v and not p.adjacent(w, v):
+            return True  # (a)
+    for w in p.parents[v]:
+        if w != u and not p.adjacent(w, u):
+            return True  # (b)
+    for w in p.children[u]:
+        if w != v and (w, v) in p.arcs:
+            return True  # (c)
+    candidates = [
+        w for w in p.undirected_neighbors[u] if (w, v) in p.arcs
+    ]
+    for w1, w2 in itertools.combinations(sorted(candidates), 2):
+        if not p.adjacent(w1, w2):
+            return True  # (d)
+    return False
+
+
+def is_essential_graph_by_conditions(p):
+    """The four-condition characterization of essential graphs, on the
+    Pdag's sets: no partially directed cycle, chordal lines, no induced
+    a -> b - c with a, c nonadjacent, every arc strongly protected."""
+    if has_partially_directed_cycle(p):
+        return False
+    if not is_chordal(p.undirected_part()[1]):
+        return False
+    for a, b in p.arcs:
+        for c in p.undirected_neighbors[b]:
+            if c != a and not p.adjacent(a, c):
+                return False
+    return all(is_strongly_protected(p, arc) for arc in p.arcs)
+
+
 def essential_graph_by_fixed_point(d):
     """Essential graph by undirecting the lexicographically smallest arc
     that is not strongly protected, rebuilding the graph and rescanning
@@ -614,6 +684,18 @@ def essential_graph_by_fixed_point(d):
             return p
         arcs.remove(weak)
         lines.add(edge_key(*weak))
+
+
+def singleton_class_count_bruteforce(n):
+    """Count size-1 equivalence classes by grouping DAGs on their class
+    signature (skeleton, immoralities).  Desk scale: n <= 5."""
+    if n > 5:
+        raise ValueError("brute-force singleton count capped at n = 5")
+    sizes = {}
+    for d in enumerate_dags(n):
+        sig = (d.skeleton().edges, immoralities(d))
+        sizes[sig] = sizes.get(sig, 0) + 1
+    return sum(1 for v in sizes.values() if v == 1)
 
 
 def markov_equivalent(d1, d2):

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from mecmc.graphs import Dag, UndirectedGraph, maximal_cliques
+from mecmc.graphs import Dag, Pdag, UndirectedGraph, maximal_cliques
 
 
 @st.composite
@@ -50,3 +50,21 @@ def small_dags(draw, min_n=1, max_n=6):
         if mask >> k & 1
     }
     return Dag(n, arcs)
+
+
+@st.composite
+def small_pdags(draw, min_n=1, max_n=6):
+    """Arbitrary partially directed graph: each vertex pair gets nothing, a
+    line, or an arc either way, from one base-4 digit per pair."""
+    n = draw(st.integers(min_n, max_n))
+    code = draw(st.integers(0, 4 ** (n * (n - 1) // 2) - 1))
+    arcs, lines = [], []
+    for u, v in itertools.combinations(range(n), 2):
+        code, mark = divmod(code, 4)
+        if mark == 1:
+            lines.append((u, v))
+        elif mark == 2:
+            arcs.append((u, v))
+        elif mark == 3:
+            arcs.append((v, u))
+    return Pdag(n, arcs, lines)

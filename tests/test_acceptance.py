@@ -16,7 +16,6 @@ from mecmc.essential import (
     enumerate_essential_graphs,
     essential_graph_of_dag,
     is_essential_graph,
-    is_strongly_protected,
     protected_directed_only,
 )
 from mecmc.flipchain import (
@@ -42,12 +41,17 @@ from mecmc.posets import (
     decimal_string,
     ratio_table,
     robinson_counts,
-    singleton_class_count_bruteforce,
     steinsky_counts,
 )
 
 from conftest import TREE_NAMES
-from oracles import Amo, essential_graph_by_intersection, kernel_fractions
+from oracles import (
+    Amo,
+    essential_graph_by_intersection,
+    is_strongly_protected,
+    kernel_fractions,
+    singleton_class_count_bruteforce,
+)
 
 
 def test_c1_counting_crosscheck():

@@ -328,6 +328,25 @@ def test_out_of_memory_exits_3_without_traceback(k3_file, capsys, monkeypatch):
     assert err == f"error: out of memory: {message}\n"
 
 
+def test_closed_stdout_exits_3_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mecmc.cli", "hjy", "--nmax", "10", "--steps", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"config"')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ratio_csv(tmp_path):
     out = tmp_path / "ratio.csv"
     rc = main(

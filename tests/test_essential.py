@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mecmc import essential
 from mecmc.essential import (
     class_members,
     class_size,
@@ -15,7 +15,6 @@ from mecmc.essential import (
     enumerate_essential_graphs,
     essential_graph_of_dag,
     is_essential_graph,
-    is_strongly_protected,
     mec_of_dag,
     protected_directed_only,
 )
@@ -27,13 +26,16 @@ from mecmc.graphs import (
     has_partially_directed_cycle,
     immoralities,
 )
+from mecmc.hjy import MaskState
 
 from oracles import (
     essential_graph_by_fixed_point,
     essential_graph_by_intersection,
+    is_essential_graph_by_conditions,
+    is_strongly_protected,
     markov_equivalent,
 )
-from strategies import small_dags
+from strategies import small_dags, small_pdags
 
 # Distinct essential graphs on n vertices, frozen from the exhaustive
 # classification of all DAGs (equivalently the Pdag filter).
@@ -79,25 +81,33 @@ def test_essential_graph_examples():
     assert eg.lines == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
-def test_strong_protection_examples():
+def _check_protection_examples(is_protected):
     # (a) chain w->u->v with w, v nonadjacent
     chain = Pdag(3, [(0, 1), (1, 2)], [])
-    assert is_strongly_protected(chain, (1, 2))
+    assert is_protected(chain, (1, 2))
     # (b) collider u->v<-w with u, w nonadjacent
     collider = Pdag(3, [(0, 2), (1, 2)], [])
-    assert is_strongly_protected(collider, (0, 2))
+    assert is_protected(collider, (0, 2))
     # (c) u->w->v alongside u->v
     tri = Pdag(3, [(0, 1), (1, 2), (0, 2)], [])
-    assert is_strongly_protected(tri, (0, 2))
+    assert is_protected(tri, (0, 2))
     # (d) two undirected neighbors of u pointing at v, mutually nonadjacent
     wheel = Pdag(
         4, [(1, 3), (2, 3), (0, 3)], [(0, 1), (0, 2)]
     )
-    assert is_strongly_protected(wheel, (0, 3))
+    assert is_protected(wheel, (0, 3))
     # isolated arc: no configuration
-    assert not is_strongly_protected(Pdag(2, [(0, 1)], []), (0, 1))
+    assert not is_protected(Pdag(2, [(0, 1)], []), (0, 1))
+
+
+def test_strong_protection_examples():
+    _check_protection_examples(is_strongly_protected)
     with pytest.raises(ValueError):
         is_strongly_protected(Pdag(2, [(0, 1)], []), (1, 0))
+
+
+def test_strong_protection_examples_on_masks():
+    _check_protection_examples(lambda p, arc: MaskState(p)._protected(*arc))
 
 
 def test_protected_directed_only_examples():
@@ -165,7 +175,7 @@ def test_fixpoint_matches_intersection_exhaustive():
 
 
 @settings(deadline=None, max_examples=150)
-@given(small_dags(max_n=7))
+@given(small_dags(max_n=12))
 def test_worklist_matches_fixed_point(d):
     assert essential_graph_of_dag(d) == essential_graph_by_fixed_point(d)
 
@@ -178,22 +188,26 @@ def test_worklist_matches_fixed_point_exhaustive():
 
 
 def test_worklist_retests_only_arcs_at_undirected_ones(monkeypatch):
-    # on a directed path every arc is unprotected; each undirection puts at
-    # most the two arcs next to it back on the heap, where a rescan after
-    # each one would test about n^2 / 2 arcs
+    # on a directed path only the arc out of the source is unprotected, and
+    # each undirection leaves the next arc so; each one puts at most the two
+    # arcs next to it back on the heap.  With the path running down the
+    # labels the source's arc sorts last, so a rescan in sorted order after
+    # each undirection would test about n^2 / 2 arcs
     n = 2000
     calls = []
-    protected = essential.is_strongly_protected
+    protected = MaskState._protected
 
-    def counted(p, arc):
-        calls.append(arc)
-        return protected(p, arc)
+    def counted(s, x, y):
+        calls.append((x, y))
+        return protected(s, x, y)
 
-    monkeypatch.setattr(essential, "is_strongly_protected", counted)
-    eg = essential_graph_of_dag(Dag(n, [(i, i + 1) for i in range(n - 1)]))
-    assert eg.arcs == frozenset()
-    assert len(eg.lines) == n - 1
-    assert len(calls) <= 3 * (n - 1)
+    monkeypatch.setattr(MaskState, "_protected", counted)
+    for arcs in ([(i, i + 1) for i in range(n - 1)], [(i + 1, i) for i in range(n - 1)]):
+        calls.clear()
+        eg = essential_graph_of_dag(Dag(n, arcs))
+        assert eg.arcs == frozenset()
+        assert len(eg.lines) == n - 1
+        assert len(calls) <= 3 * (n - 1)
 
 
 def test_essential_graph_respects_equivalence():
@@ -211,6 +225,29 @@ def test_essential_graph_respects_equivalence():
         assert all(len(ks) == 1 for ks in keys)
         distinct = {next(iter(ks)) for ks in keys}
         assert len(distinct) == len(keys)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_pdags(max_n=12))
+def test_is_essential_graph_matches_set_oracle(p):
+    assert is_essential_graph(p) == is_essential_graph_by_conditions(p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_dags(min_n=2, max_n=12), st.data())
+def test_is_essential_graph_matches_set_oracle_after_one_edit(d, data):
+    # one pair of the essential graph of d gets another mark: nothing, a
+    # line, or an arc either way
+    eg = essential_graph_of_dag(d)
+    u, v = data.draw(st.sampled_from(list(itertools.combinations(range(d.n), 2))))
+    arcs, lines = eg.arcs - {(u, v), (v, u)}, eg.lines - {(u, v)}
+    mark = data.draw(st.sampled_from(["none", "line", ">", "<"]))
+    if mark == "line":
+        lines |= {(u, v)}
+    elif mark != "none":
+        arcs |= {(u, v) if mark == ">" else (v, u)}
+    p = Pdag(d.n, arcs, lines)
+    assert is_essential_graph(p) == is_essential_graph_by_conditions(p)
 
 
 def test_essential_graphs_pass_their_own_characterization():

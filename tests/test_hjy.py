@@ -29,7 +29,6 @@ from mecmc.hjy import (
     emptying_sequence,
     exact_kernel,
     hamming_distance,
-    legal_moves,
     proposals,
     reachable_within,
     state_hash,
@@ -44,6 +43,7 @@ from oracles import (
     hjy_breadth_first,
     hjy_exact_kernel,
     kernel_fractions,
+    legal_moves,
     pair_mark,
     propose,
     propose_by_lists,

@@ -19,10 +19,10 @@ from mecmc.posets import (
     ratio_table,
     reachability_poset,
     robinson_counts,
-    singleton_class_count_bruteforce,
     steinsky_counts,
 )
 
+from oracles import singleton_class_count_bruteforce
 from strategies import small_dags
 
 # Labeled posets on 0..6 elements, frozen from the enumeration itself and
