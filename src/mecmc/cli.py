@@ -5,7 +5,8 @@ included) that produced it, and identical configs produce byte-identical
 files.  Exact quantities (counts, rationals) are serialized as strings,
 floats as plain JSON numbers.  Exit codes: 0 success, 2 invalid input,
 3 a size cap exceeded (the hint names MECMC_STATE_CAP where it applies),
-memory exhausted, or stdout closed by its reader before the output ended.
+memory exhausted, or the output (stdout or ``--out``) closed by its reader
+before the output ended.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def state_cap():
 def _emit(text, out):
     """Write a string, or an iterable of strings as it yields them, to the
     file ``out`` or to stdout.  The file opens before the first string is
-    asked for, so an unwritable ``out`` fails before any work is done."""
+    asked for, so an unwritable ``out`` fails before any work is done.  A
+    reader that closes its pipe early raises ``BrokenPipeError``."""
     if isinstance(text, str):
         text = (text,)
     if out is None:
@@ -91,6 +93,8 @@ def _emit(text, out):
     try:
         with open(out, "w") as fh:
             fh.writelines(text)
+    except BrokenPipeError:
+        raise
     except OSError as e:
         raise ValueError(f"cannot write {out}: {e}")
 
@@ -448,12 +452,15 @@ def main(argv=None):
         print(f"error: out of memory: {why}", file=sys.stderr)
         return 3
     except BrokenPipeError:
-        # the reader closed stdout; send what is still buffered to devnull so
-        # the interpreter's last flush cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: stdout was closed before the output ended", file=sys.stderr)
+        out = getattr(args, "out", None)
+        if out is None:
+            # the reader closed stdout; send what is still buffered to
+            # devnull so the interpreter's last flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "stdout" if out is None else out
+        print(f"error: {where} was closed before the output ended", file=sys.stderr)
         return 3
 
 

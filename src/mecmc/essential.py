@@ -5,15 +5,18 @@ The essential graph of a class keeps an arc exactly where every member
 orients the edge the same way.  A partially directed graph is an essential
 graph iff it has no partially directed cycle, its undirected part is chordal,
 no induced subgraph a -> b - c has a, c nonadjacent, and every arc is
-strongly protected (Andersson, Madigan & Perlman 1997).  The functions here
-test protection on a ``hjy.MaskState``, with the HJY chain's own test.
+strongly protected (Andersson, Madigan & Perlman 1997).  Protection is
+tested here on per-vertex sets, whose size follows the edges;
+``hjy.MaskState._protected`` is the same test on the chain's bitmasks,
+which are as wide as the largest vertex label, so on a long path they
+would take memory quadratic in its length.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from types import SimpleNamespace
+from collections import defaultdict
 
 from . import amo as amo_mod
 from .graphs import (
@@ -26,7 +29,6 @@ from .graphs import (
     is_acyclic,
     is_chordal,
 )
-from .hjy import MaskState, _bits
 
 MEC_ENUM_CAP = 1 << 22
 
@@ -53,6 +55,35 @@ def mec_of_dag(d):
     return out
 
 
+def is_strongly_protected(p, arc):
+    """Whether the arc u->v sits in one of the four protecting configurations:
+
+    (a) w->u->v with w, v nonadjacent;
+    (b) u->v<-w with u, w nonadjacent;
+    (c) some w with u->w->v alongside u->v;
+    (d) undirected neighbors w1-u, w2-u with w1->v, w2->v, w1, w2 nonadjacent.
+    """
+    u, v = arc
+    if (u, v) not in p.arcs:
+        raise ValueError(f"{arc} is not an arc of the graph")
+    for w in p.parents[u]:
+        if w != v and not p.adjacent(w, v):
+            return True  # (a)
+    for w in p.parents[v]:
+        if w != u and not p.adjacent(w, u):
+            return True  # (b)
+    for w in p.children[u]:
+        if w != v and (w, v) in p.arcs:
+            return True  # (c)
+    candidates = [
+        w for w in p.undirected_neighbors[u] if (w, v) in p.arcs
+    ]
+    for w1, w2 in itertools.combinations(sorted(candidates), 2):
+        if not p.adjacent(w1, w2):
+            return True  # (d)
+    return False
+
+
 def protected_directed_only(d, arc):
     """Parent-set test for fully directed graphs: u->v is protected iff
     parents(u) != parents(v) - {u}."""
@@ -62,18 +93,33 @@ def protected_directed_only(d, arc):
     return d.parents[u] != d.parents[v] - {u}
 
 
-def _mask_state(p):
-    """``(verts, s)``: a ``MaskState`` of the edges of ``p`` on the vertices
-    that carry them, relabelled in increasing order (vertex i is ``verts[i]``)
-    as ``Pdag.undirected_part`` does, so the cost follows the edges, not n."""
-    verts = sorted({v for edge in itertools.chain(p.arcs, p.lines) for v in edge})
-    label = {v: i for i, v in enumerate(verts)}
-    edges = SimpleNamespace(
-        n=len(verts),
-        arcs=[(label[u], label[v]) for u, v in p.arcs],
-        lines=[(label[u], label[v]) for u, v in p.lines],
-    )
-    return verts, MaskState(edges)
+class _Undirecting:
+    """A DAG whose arcs are undirected one at a time: mutable parent, child
+    and line sets under the ``Pdag`` names that ``is_strongly_protected``
+    reads, made only for the vertices that have edges."""
+
+    def __init__(self, d):
+        self.arcs = set(d.arcs)
+        self.parents = defaultdict(set)
+        self.children = defaultdict(set)
+        self.undirected_neighbors = defaultdict(set)
+        for u, v in self.arcs:
+            self.parents[v].add(u)
+            self.children[u].add(v)
+
+    def adjacent(self, u, v):
+        return (
+            v in self.parents[u]
+            or v in self.children[u]
+            or v in self.undirected_neighbors[u]
+        )
+
+    def undirect(self, u, v):
+        self.arcs.remove((u, v))
+        self.parents[v].discard(u)
+        self.children[u].discard(v)
+        self.undirected_neighbors[u].add(v)
+        self.undirected_neighbors[v].add(u)
 
 
 def essential_graph_of_dag(d):
@@ -82,43 +128,44 @@ def essential_graph_of_dag(d):
     Repeatedly undirects the lexicographically smallest arc that is not
     strongly protected; the fixed point is the essential graph of the class.
     A heap holds the arcs whose protection is not known: at first every
-    arc.  Undirecting u->v changes only the masks of u and v, so only the
-    arcs at u or v go back on the heap.  Every arc off the heap is
-    protected, so the smallest unprotected arc is the first one popped that
-    fails the test.
+    arc.  Undirecting u->v changes only the parent, child and line sets of
+    u and v, so only the arcs at u or v go back on the heap.  Every arc off
+    the heap is protected, so the smallest unprotected arc is the first one
+    popped that fails the test.
     """
-    verts, s = _mask_state(d)
-    par, chi = s.par, s.chi
-    heap = sorted(s.arcs)
+    g = _Undirecting(d)
+    heap = sorted(g.arcs)
     queued = set(heap)
     lines = []
     while heap:
         arc = heapq.heappop(heap)
         queued.remove(arc)
-        if s._protected(*arc):
+        if is_strongly_protected(g, arc):
             continue
-        s._toggle(0, arc)
-        s._toggle(2, arc)
-        lines.append((verts[arc[0]], verts[arc[1]]))
+        g.undirect(*arc)
+        lines.append(arc)
         for w in arc:
             for again in itertools.chain(
-                ((x, w) for x in _bits(par[w])), ((w, y) for y in _bits(chi[w]))
+                ((x, w) for x in g.parents[w]), ((w, y) for y in g.children[w])
             ):
                 if again not in queued:
                     queued.add(again)
                     heapq.heappush(heap, again)
-    return Pdag(d.n, d.arcs.difference(lines), lines)
+    return Pdag(d.n, g.arcs, lines)
 
 
 def is_essential_graph(p):
-    """Whether ``p`` is an essential graph: no partially directed cycle,
-    chordal lines, and each arc a->b strongly protected, with no line b-c
-    where a, c are nonadjacent."""
-    if has_partially_directed_cycle(p) or not is_chordal(p.undirected_part()[1]):
+    """The four-condition characterization of essential graphs."""
+    if has_partially_directed_cycle(p):
         return False
-    _, s = _mask_state(p)
-    und, adj = s.und, s.adj
-    return not any(und[b] & ~adj[a] or not s._protected(a, b) for a, b in s.arcs)
+    if not is_chordal(p.undirected_part()[1]):
+        return False
+    # no induced a -> b - c with a, c nonadjacent
+    for a, b in p.arcs:
+        for c in p.undirected_neighbors[b]:
+            if c != a and not p.adjacent(a, c):
+                return False
+    return all(is_strongly_protected(p, arc) for arc in p.arcs)
 
 
 def _original_cycle(verts, err):

@@ -332,7 +332,8 @@ class MaskState:
     def _protected(self, x, y):
         """Whether the arc x->y is strongly protected: (a) w->x with w, y
         nonadjacent; (b) w->y with w, x nonadjacent; (c) x->w->y; (d) lines
-        w1-x, w2-x with w1->y, w2->y and w1, w2 nonadjacent."""
+        w1-x, w2-x with w1->y, w2->y and w1, w2 nonadjacent.  This is
+        ``essential.is_strongly_protected`` on the masks."""
         par, adj = self.par, self.adj
         py = par[y]
         if par[x] & ~adj[y] or py & ~adj[x] & ~(1 << x) or self.chi[x] & py:

@@ -18,8 +18,6 @@ are picked out of a row index as large as the flip table.  The HJY chain's
 exact kernel is kept as a breadth-first search that builds a ``Move`` per
 candidate and a ``Pdag`` per result, with one ``{j: Fraction}`` row per
 state, and its proposals as one ``Generator.integers`` call per draw.
-Strong protection and the four-condition test of an essential graph read
-a ``Pdag``'s parent, child and line sets, never the library's masks.
 """
 
 import itertools
@@ -29,16 +27,19 @@ from fractions import Fraction
 import numpy as np
 
 from mecmc.amo import peo_orientation
-from mecmc.essential import enumerate_dags, mec_of_dag
+from mecmc.essential import (
+    enumerate_dags,
+    is_essential_graph,
+    is_strongly_protected,
+    mec_of_dag,
+)
 from mecmc.flipchain import TMIX_EPS, TMIX_MAX_STEPS
 from mecmc.graphs import (
     Pdag,
     edge_key,
     format_graph,
-    has_partially_directed_cycle,
     immoralities,
     is_acyclic,
-    is_chordal,
     require_chordal,
 )
 from mecmc.hjy import (
@@ -403,10 +404,10 @@ def _edit(state, move):
 
 def apply_move_by_full_test(state, move):
     """The HJY chain's acceptance rule, tested on the whole edited graph:
-    the literal edit when all four conditions of
-    ``is_essential_graph_by_conditions`` hold, None otherwise."""
+    the literal edit when all four conditions of ``is_essential_graph``
+    hold, None otherwise."""
     edited = _edit(state, move)
-    if edited is None or not is_essential_graph_by_conditions(edited):
+    if edited is None or not is_essential_graph(edited):
         return None
     return edited
 
@@ -620,51 +621,6 @@ def kernel_fractions(kernel):
     for i, held in enumerate(kernel.holding()):
         K[i][i] = Fraction(held, kernel.denominator)
     return states, K
-
-
-def is_strongly_protected(p, arc):
-    """Whether the arc u->v of the Pdag ``p`` sits in one of the four
-    protecting configurations, read off its parent, child and line sets:
-
-    (a) w->u->v with w, v nonadjacent;
-    (b) u->v<-w with u, w nonadjacent;
-    (c) some w with u->w->v alongside u->v;
-    (d) undirected neighbors w1-u, w2-u with w1->v, w2->v, w1, w2 nonadjacent.
-    """
-    u, v = arc
-    if (u, v) not in p.arcs:
-        raise ValueError(f"{arc} is not an arc of the graph")
-    for w in p.parents[u]:
-        if w != v and not p.adjacent(w, v):
-            return True  # (a)
-    for w in p.parents[v]:
-        if w != u and not p.adjacent(w, u):
-            return True  # (b)
-    for w in p.children[u]:
-        if w != v and (w, v) in p.arcs:
-            return True  # (c)
-    candidates = [
-        w for w in p.undirected_neighbors[u] if (w, v) in p.arcs
-    ]
-    for w1, w2 in itertools.combinations(sorted(candidates), 2):
-        if not p.adjacent(w1, w2):
-            return True  # (d)
-    return False
-
-
-def is_essential_graph_by_conditions(p):
-    """The four-condition characterization of essential graphs, on the
-    Pdag's sets: no partially directed cycle, chordal lines, no induced
-    a -> b - c with a, c nonadjacent, every arc strongly protected."""
-    if has_partially_directed_cycle(p):
-        return False
-    if not is_chordal(p.undirected_part()[1]):
-        return False
-    for a, b in p.arcs:
-        for c in p.undirected_neighbors[b]:
-            if c != a and not p.adjacent(a, c):
-                return False
-    return all(is_strongly_protected(p, arc) for arc in p.arcs)
 
 
 def essential_graph_by_fixed_point(d):

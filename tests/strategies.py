@@ -54,17 +54,20 @@ def small_dags(draw, min_n=1, max_n=6):
 
 @st.composite
 def small_pdags(draw, min_n=1, max_n=6):
-    """Arbitrary partially directed graph: each vertex pair gets nothing, a
-    line, or an arc either way, from one base-4 digit per pair."""
+    """Partially directed graph without a directed cycle: the first m pairs
+    of a shuffled pair list, m uniform, each get a line or an arc from the
+    earlier to the later vertex of a random order, so each pair gets
+    nothing, a line or an arc either way, at any density."""
     n = draw(st.integers(min_n, max_n))
-    code = draw(st.integers(0, 4 ** (n * (n - 1) // 2) - 1))
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    m = draw(st.integers(0, len(pairs)))
+    is_line = draw(st.integers(0, 2 ** m - 1))
     arcs, lines = [], []
-    for u, v in itertools.combinations(range(n), 2):
-        code, mark = divmod(code, 4)
-        if mark == 1:
-            lines.append((u, v))
-        elif mark == 2:
+    for k, (i, j) in enumerate(pairs[:m]):
+        u, v = order[i], order[j]
+        if is_line >> k & 1:
+            lines.append((min(u, v), max(u, v)))
+        else:
             arcs.append((u, v))
-        elif mark == 3:
-            arcs.append((v, u))
     return Pdag(n, arcs, lines)

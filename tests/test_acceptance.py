@@ -16,6 +16,7 @@ from mecmc.essential import (
     enumerate_essential_graphs,
     essential_graph_of_dag,
     is_essential_graph,
+    is_strongly_protected,
     protected_directed_only,
 )
 from mecmc.flipchain import (
@@ -48,7 +49,6 @@ from conftest import TREE_NAMES
 from oracles import (
     Amo,
     essential_graph_by_intersection,
-    is_strongly_protected,
     kernel_fractions,
     singleton_class_count_bruteforce,
 )

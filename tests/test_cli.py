@@ -328,23 +328,40 @@ def test_out_of_memory_exits_3_without_traceback(k3_file, capsys, monkeypatch):
     assert err == f"error: out of memory: {message}\n"
 
 
-def test_closed_stdout_exits_3_without_traceback():
-    # the reader takes one line and closes the pipe, as `| head -1` does
+def _hjy_process(*extra):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mecmc.cli", "hjy", "--nmax", "10", "--steps", "100000"],
+    return subprocess.Popen(
+        [sys.executable, "-m", "mecmc.cli", "hjy", "--nmax", "10", "--steps", "100000", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    proc = _hjy_process()
     assert proc.stdout.readline().startswith(b'{"config"')
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 3
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 3
     assert "Traceback" not in err and "Exception ignored" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: stdout was closed before the output ended\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_closed_out_pipe_exits_3_naming_the_path(tmp_path):
+    # --out names a pipe whose reader leaves after one line; stdout stays open
+    fifo = tmp_path / "records"
+    os.mkfifo(fifo)
+    proc = _hjy_process("--out", str(fifo))
+    with open(fifo, "rb") as fh:
+        assert fh.readline().startswith(b'{"config"')
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3 and out == b""
+    assert err.decode() == f"error: {fifo} was closed before the output ended\n"
 
 
 def test_ratio_csv(tmp_path):

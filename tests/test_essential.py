@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecmc import essential
 from mecmc.essential import (
     class_members,
     class_size,
@@ -15,6 +16,7 @@ from mecmc.essential import (
     enumerate_essential_graphs,
     essential_graph_of_dag,
     is_essential_graph,
+    is_strongly_protected,
     mec_of_dag,
     protected_directed_only,
 )
@@ -31,8 +33,6 @@ from mecmc.hjy import MaskState
 from oracles import (
     essential_graph_by_fixed_point,
     essential_graph_by_intersection,
-    is_essential_graph_by_conditions,
-    is_strongly_protected,
     markov_equivalent,
 )
 from strategies import small_dags, small_pdags
@@ -195,13 +195,13 @@ def test_worklist_retests_only_arcs_at_undirected_ones(monkeypatch):
     # each undirection would test about n^2 / 2 arcs
     n = 2000
     calls = []
-    protected = MaskState._protected
+    protected = essential.is_strongly_protected
 
-    def counted(s, x, y):
-        calls.append((x, y))
-        return protected(s, x, y)
+    def counted(p, arc):
+        calls.append(arc)
+        return protected(p, arc)
 
-    monkeypatch.setattr(MaskState, "_protected", counted)
+    monkeypatch.setattr(essential, "is_strongly_protected", counted)
     for arcs in ([(i, i + 1) for i in range(n - 1)], [(i + 1, i) for i in range(n - 1)]):
         calls.clear()
         eg = essential_graph_of_dag(Dag(n, arcs))
@@ -227,15 +227,36 @@ def test_essential_graph_respects_equivalence():
         assert len(distinct) == len(keys)
 
 
+def _check_mask_protection(p):
+    s = MaskState(p)
+    for a, b in p.arcs:
+        assert s._protected(a, b) == is_strongly_protected(p, (a, b))
+
+
+def test_mask_protection_matches_set_test_exhaustive():
+    # every Pdag on four vertices, the fewest on which configuration (d)
+    # fits, with or without cycles: the chain's mask test and the set test
+    # agree arc by arc
+    pairs = list(itertools.combinations(range(4), 2))
+    outcomes = set()
+    for marks in itertools.product(range(4), repeat=len(pairs)):
+        lines = [pair for pair, m in zip(pairs, marks) if m == 1]
+        arcs = [(u, v) if m == 2 else (v, u) for (u, v), m in zip(pairs, marks) if m > 1]
+        p = Pdag(4, arcs, lines)
+        _check_mask_protection(p)
+        outcomes.update(is_strongly_protected(p, arc) for arc in arcs)
+    assert outcomes == {True, False}
+
+
 @settings(deadline=None, max_examples=300)
 @given(small_pdags(max_n=12))
-def test_is_essential_graph_matches_set_oracle(p):
-    assert is_essential_graph(p) == is_essential_graph_by_conditions(p)
+def test_mask_protection_matches_set_test(p):
+    _check_mask_protection(p)
 
 
 @settings(deadline=None, max_examples=150)
 @given(small_dags(min_n=2, max_n=12), st.data())
-def test_is_essential_graph_matches_set_oracle_after_one_edit(d, data):
+def test_mask_protection_matches_set_test_after_one_edit(d, data):
     # one pair of the essential graph of d gets another mark: nothing, a
     # line, or an arc either way
     eg = essential_graph_of_dag(d)
@@ -246,8 +267,7 @@ def test_is_essential_graph_matches_set_oracle_after_one_edit(d, data):
         lines |= {(u, v)}
     elif mark != "none":
         arcs |= {(u, v) if mark == ">" else (v, u)}
-    p = Pdag(d.n, arcs, lines)
-    assert is_essential_graph(p) == is_essential_graph_by_conditions(p)
+    _check_mask_protection(Pdag(d.n, arcs, lines))
 
 
 def test_essential_graphs_pass_their_own_characterization():
@@ -365,3 +385,28 @@ def test_essential_test_cost_does_not_grow_with_isolated_vertices():
     tracemalloc.stop()
     assert answers == [True, False, True, False]
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "n, arcs, bounds",
+    [
+        (50_000, [(i, i + 1) for i in range(49_999)], (100_000_000, 50_000_000)),
+        (40_000, [(2 * i, 2 * i + 1) for i in range(20_000)], (75_000_000, 35_000_000)),
+    ],
+    ids=["path", "matching"],
+)
+def test_essential_graph_memory_follows_the_edges(n, arcs, bounds):
+    # a long directed path and a matching: per-vertex sets peak near 78 and
+    # 37 MB on the path, 57 and 27 MB on the matching, where Python-int
+    # masks over the vertex labels grow with n^2 (515 and 347 MB on the path)
+    d = Dag(n, arcs)
+    tracemalloc.start()
+    eg = essential_graph_of_dag(d)
+    built = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tracemalloc.start()
+    essential = is_essential_graph(eg)
+    checked = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert essential and not eg.arcs and len(eg.lines) == len(arcs)
+    assert built < bounds[0] and checked < bounds[1]
