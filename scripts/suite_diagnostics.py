@@ -2,7 +2,8 @@
 
 For each graph: AMO count, exact spectral gap, the decomposition lower
 bound, the worst clique-cut conductance with its mixing-time lower bound,
-and (for spaces small enough to power up densely) the exact t_mix(1/4).
+and (for spaces of at most ``flipchain.DENSE_STATES`` states, the ones
+``diagnose`` powers up densely) the exact t_mix(1/4).
 """
 
 import argparse
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 from mecmc.amo import build_orientation_space
 from mecmc.flipchain import (
+    DENSE_STATES,
     clique_cut_bottlenecks,
     exact_tmix,
     madras_randall_bound,
@@ -40,10 +42,7 @@ SUITE = {
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tmix-cap", type=int, default=1500,
-                    help="skip exact t_mix above this many states")
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     header = (
         f"{'graph':<16}{'states':>7}{'gap':>11}{'mr_bound':>11}"
@@ -64,9 +63,7 @@ def main():
             phi_s, low_s = str(phi), str(lower)
         else:
             phi_s = low_s = "-"
-        tmix = (
-            exact_tmix(tm) if space.size <= args.tmix_cap else None
-        )
+        tmix = exact_tmix(tm) if space.size <= DENSE_STATES else None
         print(
             f"{name:<16}{space.size:>7}{gap:>11.6f}{mr:>11}"
             f"{phi_s:>10}{low_s:>10}{tmix if tmix is not None else '-':>6}"

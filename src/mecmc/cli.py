@@ -12,6 +12,7 @@ before the output ended.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -243,16 +244,23 @@ def cmd_diagnose(args):
     return 0
 
 
-def cmd_ratio(args):
-    # the counts reach thousands of decimal digits well before n = 200;
-    # lift the interpreter's int-to-str guard (0 means no limit) while they
-    # serialize in full, and restore it afterwards
-    old_limit = 0
-    if hasattr(sys, "get_int_max_str_digits"):
-        old_limit = sys.get_int_max_str_digits()
-    if old_limit:
-        sys.set_int_max_str_digits(max(old_limit, RATIO_DIGITS))
+@contextlib.contextmanager
+def _str_digits(limit):
+    """The interpreter's int-to-str digit guard lifted to ``limit`` digits
+    (0: no limit) inside the block, and restored after it."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(limit and max(old, limit))
     try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
+def cmd_ratio(args):
+    # the counts reach thousands of decimal digits well before n = 200
+    with _str_digits(RATIO_DIGITS):
         config = RunConfig(
             subcommand="ratio",
             nmax=args.nmax,
@@ -280,9 +288,6 @@ def cmd_ratio(args):
             _emit("\n".join(out) + "\n", args.out)
         else:
             _emit(_dump_json({"config": config.to_dict(), "rows": rows}), args.out)
-    finally:
-        if old_limit:
-            sys.set_int_max_str_digits(old_limit)
     return 0
 
 
@@ -294,13 +299,15 @@ def cmd_mec(args):
     members = None
     if size <= MEC_LIST_CAP:
         members = sorted(format_graph(eg.n, (), key) for key in class_members(eg))
-    payload = {
-        "config": config.to_dict(),
-        "essential_graph": format_pdag(eg),
-        "class_size": str(size),
-        "members": members,
-    }
-    _emit(_dump_json(payload), args.out)
+    # at most 2^|E| members: fewer digits than the input has characters
+    with _str_digits(0):
+        payload = {
+            "config": config.to_dict(),
+            "essential_graph": format_pdag(eg),
+            "class_size": str(size),
+            "members": members,
+        }
+        _emit(_dump_json(payload), args.out)
     return 0
 
 

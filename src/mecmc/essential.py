@@ -5,8 +5,10 @@ The essential graph of a class keeps an arc exactly where every member
 orients the edge the same way.  A partially directed graph is an essential
 graph iff it has no partially directed cycle, its undirected part is chordal,
 no induced subgraph a -> b - c has a, c nonadjacent, and every arc is
-strongly protected (Andersson, Madigan & Perlman 1997).  Protection is
-tested here on per-vertex sets, whose size follows the edges;
+strongly protected (Andersson, Madigan & Perlman 1997).  The essential
+graph of a DAG comes from Chickering's labelling of its compelled arcs in
+one pass, with no protection test.  Protection is tested here, for
+``is_essential_graph``, on per-vertex sets, whose size follows the edges;
 ``hjy.MaskState._protected`` is the same test on the chain's bitmasks,
 which are as wide as the largest vertex label, so on a long path they
 would take memory quadratic in its length.
@@ -14,9 +16,7 @@ would take memory quadratic in its length.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from collections import defaultdict
 
 from . import amo as amo_mod
 from .graphs import (
@@ -24,6 +24,7 @@ from .graphs import (
     Dag,
     NotChordalError,
     Pdag,
+    _kahn_order,
     has_partially_directed_cycle,
     immoralities,
     is_acyclic,
@@ -93,65 +94,36 @@ def protected_directed_only(d, arc):
     return d.parents[u] != d.parents[v] - {u}
 
 
-class _Undirecting:
-    """A DAG whose arcs are undirected one at a time: mutable parent, child
-    and line sets under the ``Pdag`` names that ``is_strongly_protected``
-    reads, made only for the vertices that have edges."""
-
-    def __init__(self, d):
-        self.arcs = set(d.arcs)
-        self.parents = defaultdict(set)
-        self.children = defaultdict(set)
-        self.undirected_neighbors = defaultdict(set)
-        for u, v in self.arcs:
-            self.parents[v].add(u)
-            self.children[u].add(v)
-
-    def adjacent(self, u, v):
-        return (
-            v in self.parents[u]
-            or v in self.children[u]
-            or v in self.undirected_neighbors[u]
-        )
-
-    def undirect(self, u, v):
-        self.arcs.remove((u, v))
-        self.parents[v].discard(u)
-        self.children[u].discard(v)
-        self.undirected_neighbors[u].add(v)
-        self.undirected_neighbors[v].add(u)
-
-
 def essential_graph_of_dag(d):
-    """Essential graph via fixed-point undirection of unprotected arcs.
+    """Essential graph by Chickering's compelled-arc labelling (UAI 1995).
 
-    Repeatedly undirects the lexicographically smallest arc that is not
-    strongly protected; the fixed point is the essential graph of the class.
-    A heap holds the arcs whose protection is not known: at first every
-    arc.  Undirecting u->v changes only the parent, child and line sets of
-    u and v, so only the arcs at u or v go back on the heap.  Every arc off
-    the heap is protected, so the smallest unprotected arc is the first one
-    popped that fails the test.
+    Visits the vertices with arcs in a topological order, so every arc into
+    a vertex's parents is labelled before its own.  At a vertex y with
+    parents, let x be the last of them in that order.  If some compelled
+    w->x has w not a parent of y, or some other parent of y is not a parent
+    of x, every arc into y is compelled; otherwise exactly the arcs w->y
+    with w->x compelled are.  Compelled arcs stay arcs, the rest become
+    lines.  Only the vertices with arcs are relabelled and ordered, so the
+    cost follows the arcs, not n.
     """
-    g = _Undirecting(d)
-    heap = sorted(g.arcs)
-    queued = set(heap)
-    lines = []
-    while heap:
-        arc = heapq.heappop(heap)
-        queued.remove(arc)
-        if is_strongly_protected(g, arc):
+    verts = sorted({v for arc in d.arcs for v in arc})
+    label = {v: i for i, v in enumerate(verts)}
+    order = _kahn_order(len(verts), [(label[u], label[v]) for u, v in d.arcs])
+    pos = {verts[i]: t for t, i in enumerate(order)}
+    compelled = {}  # y -> the w with w->y compelled
+    arcs, lines = [], []
+    for y in pos:  # in topological order
+        par = d.parents[y]
+        if not par:
             continue
-        g.undirect(*arc)
-        lines.append(arc)
-        for w in arc:
-            for again in itertools.chain(
-                ((x, w) for x in g.parents[w]), ((w, y) for y in g.children[w])
-            ):
-                if again not in queued:
-                    queued.add(again)
-                    heapq.heappush(heap, again)
-    return Pdag(d.n, g.arcs, lines)
+        x = max(par, key=pos.__getitem__)
+        kept = compelled.get(x, frozenset())  # the w with w->x compelled
+        if not kept <= par or not par - {x} <= d.parents[x]:
+            kept = par
+        compelled[y] = kept
+        arcs.extend((w, y) for w in kept)
+        lines.extend((w, y) for w in par - kept)
+    return Pdag(d.n, arcs, lines)
 
 
 def is_essential_graph(p):
@@ -213,18 +185,10 @@ def enumerate_essential_graphs(n):
         raise CapExceededError(f"4^{len(pairs)} candidates exceed cap {MEC_ENUM_CAP}")
     out = []
     for choice in itertools.product(range(4), repeat=len(pairs)):
-        arcs, lines = [], []
-        for (u, v), c in zip(pairs, choice):
-            if c == 1:
-                lines.append((u, v))
-            elif c == 2:
-                arcs.append((u, v))
-            elif c == 3:
-                arcs.append((v, u))
-        cand = Pdag(n, arcs, lines)
-        if not is_acyclic(n, cand.arcs):
-            continue
-        if is_essential_graph(cand):
+        marks = list(zip(pairs, choice))
+        arcs = [(u, v) if c == 2 else (v, u) for (u, v), c in marks if c > 1]
+        cand = Pdag(n, arcs, [pair for pair, c in marks if c == 1])
+        if is_acyclic(n, arcs) and is_essential_graph(cand):
             out.append(cand)
     out.sort(key=lambda p: p.key())
     return out
@@ -235,12 +199,7 @@ def enumerate_dags(n):
     pairs = list(itertools.combinations(range(n), 2))
     out = []
     for choice in itertools.product(range(3), repeat=len(pairs)):
-        arcs = []
-        for (u, v), c in zip(pairs, choice):
-            if c == 1:
-                arcs.append((u, v))
-            elif c == 2:
-                arcs.append((v, u))
+        arcs = [(u, v) if c == 1 else (v, u) for (u, v), c in zip(pairs, choice) if c]
         if is_acyclic(n, arcs):
             out.append(Dag(n, arcs))
     return out

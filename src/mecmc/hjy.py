@@ -434,24 +434,27 @@ def proposals(n, bits):
             size = 3 if k >= 4 else 2
             xyz = [int(draw(n - i)) for i in range(size)] if n >= size else None
             yield xyz and (k, _tuple(k, *xyz))
-    halves, p = np.empty(0, np.uint64), 0
-    kinds = xs = ys = zs = ()
+    tables, p = ([], [], [], []), 0  # the halves scaled to 6, n, n - 1, n - 2
+    kinds, xs, ys, zs = tables
     while True:
         try:
             k, x, y = kinds[p], xs[p + 1], ys[p + 2]
             z = zs[p + 3] if k >= 4 else 0
-        except IndexError:  # the step runs past the block: read the next
+        except IndexError:  # the step runs past the block: decode the next
             words = bits.random_raw(RAW_BLOCK)
             block = np.stack((words & 0xFFFFFFFF, words >> np.uint64(32)), axis=1)
-            halves, p = np.concatenate((halves[p:], block.ravel())), 0
+            for table, high in zip(tables, (6, n, n - 1, n - 2)):
+                table[:] = table[p:] + _lemire(block.ravel(), high)
+            p = 0
         else:
             if k | x | y | z >= 0:  # a rejected draw reads -1
                 p += 4 if k >= 4 else 3
                 yield k, _tuple(k, x, y, z)
                 continue
             # dropping the half of the first rejected draw retries it on the next
-            halves = np.delete(halves, p + (k, x, y, z).index(-1))
-        kinds, xs, ys, zs = (_lemire(halves, h) for h in (6, n, n - 1, n - 2))
+            drop = p + (k, x, y, z).index(-1)
+            for table in tables:
+                del table[drop]
 
 
 def _lemire(halves, high):

@@ -478,6 +478,23 @@ def test_mec_total_order_counts_without_listing(tmp_path):
     assert payload["class_size"] == "3628800" and payload["members"] is None
 
 
+def test_mec_class_size_beyond_the_int_str_limit(tmp_path):
+    # 20,000 disjoint arcs: a class of 2^20000 DAGs, whose 6,021 digits pass
+    # the interpreter's default 4,300-digit guard; mec lifts it only to write
+    p = tmp_path / "arcs.txt"
+    p.write_text(format_pdag(Dag(40_000, [(2 * i, 2 * i + 1) for i in range(20_000)])))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        payload = run_to_json(["mec", "--input", str(p)], tmp_path)
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert payload["class_size"] == str(2**20_000)
+        assert payload["members"] is None
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_hjy_run_log(tmp_path):
     out = tmp_path / "run.jsonl"
     rc = main(

@@ -25,7 +25,7 @@ SCRIPTS = {
         "two K_4 sharing 2: 6 vertices, 11 edges, 88 orientations",
     ),
     "suite_diagnostics.py": (
-        ["--tmix-cap", "500"],
+        [],
         "graph            states        gap   mr_bound   phi_min  1/(4phi)  tmix",
     ),
 }
