@@ -9,6 +9,7 @@ graph H_G whose vertices are AMOs and whose edges are single-edge reversals.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial, prod
 
 import numpy as np
@@ -100,105 +101,234 @@ def peo_orientation(g):
     return tuple(sorted(_peo_arcs(g, require_chordal(g))))
 
 
-def _flip_search(g, cap):
-    """Every AMO of a chordal graph and its flips, from one breadth-first
-    search over covered-edge flips.
-
-    Covered-edge reversals connect every pair of Markov equivalent DAGs
-    (Chickering, UAI 1995), so the search from the PEO orientation reaches
-    every AMO, whether the graph is connected or not.  A state is one
-    Python-int parent bitmask per vertex, bit u of entry v set for u->v, with
-    no limit on the vertex count.  Returns, in discovery order, the keys, the
-    flip rows over the sorted edges (entry e of row i is the state reached by
-    proposing edge e) and the parent masks.
-    """
+def _capped_peo(g, cap):
+    """A perfect elimination ordering of the chordal graph ``g``, once its
+    AMO count is checked against ``cap`` (``None`` for no bound)."""
     peo = require_chordal(g)
     if cap is not None:
         total = count_amos(g)
         if total > cap:
             raise CapExceededError(f"|AMO| = {total} exceeds cap {cap}")
-    edges = sorted(g.edges)
+    return peo
+
+
+def _flip_search(g, cap):
+    """Keys of every AMO of a chordal graph, in discovery order, from one
+    breadth-first search over covered-edge flips.
+
+    Covered-edge reversals connect every pair of Markov equivalent DAGs
+    (Chickering, UAI 1995), so the search from the PEO orientation reaches
+    every AMO, whether the graph is connected or not.  A state is one
+    Python-int parent bitmask per vertex, bit u of entry v set for u->v, with
+    no limit on the vertex count.
+    """
     start = [0] * g.n
-    for u, v in _peo_arcs(g, peo):
+    for u, v in _peo_arcs(g, _capped_peo(g, cap)):
         start[v] |= 1 << u
     states = [tuple(start)]
-    index = {states[0]: 0}
-    rows = []
-    for i, par in enumerate(states):  # the loop reaches states appended below
-        row = []
-        for u, v in edges:
+    seen = {states[0]}
+    for par in states:  # the loop reaches states appended below
+        for u, v in g.edges:
             a, b = (u, v) if par[v] >> u & 1 else (v, u)
             # a->b is covered, so reversible, when parents(a) = parents(b) - {a}
             if par[a] == par[b] & ~(1 << a):
                 flipped = list(par)
                 flipped[a], flipped[b] = par[a] | 1 << b, par[a]
                 flipped = tuple(flipped)
-                j = index.setdefault(flipped, len(states))
-                if j == len(states):
+                if flipped not in seen:
+                    seen.add(flipped)
                     states.append(flipped)
-                row.append(j)
-            else:
-                row.append(i)
-        rows.append(row)
-    del index  # the search is done: free the lookup before building keys
+    del seen  # the search is done: free the lookup before building keys
     # one shared tuple per arc, tested in sorted order, so keys come out sorted
-    arcs = sorted(edges + [(v, u) for u, v in edges])
+    arcs = sorted(g.edges | {(v, u) for u, v in g.edges})
     tests = [(arc, arc[1], 1 << arc[0]) for arc in arcs]
-    keys = [tuple(arc for arc, b, bit in tests if par[b] & bit) for par in states]
-    return keys, rows, states
+    return [tuple(arc for arc, b, bit in tests if par[b] & bit) for par in states]
 
 
 def enumerate_amos(g, cap=DEFAULT_STATE_CAP):
     """Canonical arc tuples (keys) of every AMO of a chordal graph, sorted;
-    ``cap`` bounds their number, ``None`` for no bound."""
-    return sorted(_flip_search(g, cap)[0])
+    ``cap`` bounds their number, ``None`` for no bound.
+
+    The Python search of ``_flip_search`` serves the small graphs this is
+    called on (the line components of an essential graph, for ``mec``),
+    where it is faster than the array search of ``build_orientation_space``.
+    """
+    return sorted(_flip_search(g, cap))
 
 
 class OrientationSpace:
     """The flip graph H_G on all AMOs of a connected chordal graph.
 
-    State i, in canonical order, is ``keys[i]``, its sorted arc tuple, and
-    ``start`` is the index of the PEO orientation, where the search began.
-    ``flip_table[i, e]``, an N x |E| int64 array over the sorted edges, is
-    the state reached by proposing edge e: the flip when e is covered, i
-    itself otherwise.  Bit k of ``nonfollower_masks[i]`` is set when clique
-    k receives no arc from outside itself; their number is M(v) in
-    deg(v) = |G| - C(G) + M(v) - 1.
+    Row i of ``orientations``, an N x |E| uint8 array over the sorted edges,
+    is state i: entry e is 1 when edge e points from its larger endpoint to
+    its smaller one.  States are in canonical order, the order of their keys
+    (sorted arc tuples), which is the lexicographic order of the rows.
+    ``keys`` is built from the rows on first access.  ``start`` is the index
+    of the PEO orientation, where the search began.  ``flip_table[i, e]``, a
+    C-contiguous N x |E| int64 array, is the state reached by proposing edge
+    e: the flip when e is covered, i itself otherwise.  ``nonfollowers[i,
+    k]``, an N x |cliques| bool array, is set when clique k receives no arc
+    from outside itself; ``nonfollower_masks[i]`` is row i as a Python-int
+    bitmask, and its popcount is M(v) in deg(v) = |G| - C(G) + M(v) - 1.
+
+    ``build_orientation_space`` fills it from one numpy search, for
+    ``sample-amo`` and ``diagnose``; ``enumerate_amos`` keeps a Python
+    search, which is faster on the small components that ``mec`` lists.
     """
 
-    def __init__(self, graph, keys, start, flip_table, cliques, nonfollower_masks):
+    def __init__(self, graph, orientations, start, flip_table, cliques, nonfollowers):
         self.graph = graph
-        self.keys = keys
+        self.orientations = orientations
         self.start = start
         self.flip_table = flip_table
         self.cliques = cliques
-        self.nonfollower_masks = nonfollower_masks
+        self.nonfollowers = nonfollowers
 
     @property
     def size(self):
-        return len(self.keys)
+        return self.flip_table.shape[0]
+
+    @cached_property
+    def keys(self):
+        edges = sorted(self.graph.edges)
+        arcs = sorted(edges + [(v, u) for u, v in edges])
+        rank = {arc: r for r, arc in enumerate(arcs)}
+        # rank of each edge's arc for bits 0 and 1, in the smallest dtype
+        arc_of = np.array(
+            [[rank[u, v], rank[v, u]] for u, v in edges],
+            dtype=np.min_scalar_type(len(arcs)),
+        ).reshape(-1, 2)
+        ranks = np.sort(arc_of[np.arange(len(edges)), self.orientations], axis=1)
+        # one shared tuple per arc; an N x |E| object array in between would
+        # raise the peak RSS of sample-amo on K7 by about 1 MB
+        arc = arcs.__getitem__
+        return [tuple(map(arc, row)) for row in ranks.tolist()]
+
+    @cached_property
+    def nonfollower_masks(self):
+        packed = np.packbits(self.nonfollowers, axis=1, bitorder="little")
+        return [int.from_bytes(row, "little") for row in packed.tolist()]
 
     def degree(self, i):
         """Number of states one legal flip away from state i."""
         return int(np.count_nonzero(self.flip_table[i] != i))
 
 
+def _conditions(groups, zero):
+    """Condition groups as three |groups| x width arrays: group k holds on a
+    row when ``row[i] ^ row[j] == p`` for each of its triples (i, j, p).
+    Groups are padded to one width with (zero, zero, 0), which always holds
+    on rows whose column ``zero`` is 0, so an empty group holds on every
+    such row."""
+    width = max(map(len, groups), default=0) or 1
+    pad = [(zero, zero, 0)]
+    triples = [group + pad * (width - len(group)) for group in groups]
+    ijp = np.array(triples, dtype=np.intp).reshape(len(groups), width, 3)
+    return ijp[..., 0], ijp[..., 1], ijp[..., 2].astype(np.uint8)
+
+
+def _holds(rows, conditions):
+    """S x |groups| bool: which groups of ``_conditions`` hold on each row."""
+    i, j, p = conditions
+    return ((rows[:, i] ^ rows[:, j]) == p).all(axis=2)
+
+
+def _sorted_codes(rows):
+    """The order that sorts the rows lexicographically, and the sorted rows'
+    codes: each row's bits packed into 64-bit words, first column highest,
+    so that the words compare as the rows do."""
+    packed = np.packbits(rows, axis=1)
+    words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    # read big-endian, held native: sorting the byte-swapped view instead
+    # raised the peak RSS of flip-sample's commands by about 0.15 MB
+    codes = words.view(">u8").astype(np.uint64)
+    order = np.lexsort(codes.T[::-1])
+    return order, codes[order]
+
+
 def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
+    """The ``OrientationSpace`` of a connected chordal graph, from one
+    breadth-first search over covered-edge flips on edge-orientation rows.
+
+    Each state is one uint8 row over the sorted edges, plus a last column
+    that is always 0.  Edge u-v is covered, whichever way it points, when
+    every other neighbour c of just one endpoint x receives x->c, and every
+    common neighbour points to both endpoints or to neither.  So each edge
+    has a fixed list of (column, column, parity) conditions, and one level
+    of the search tests them on all its rows at once; one-endpoint
+    conditions pair a column with the zero column.  A flip changes one bit,
+    so the flip graph is bipartite and a covered flip from level L lands in
+    level L - 1 or L + 1.  The flips into L - 1 are those that reached L,
+    so the rest give level L + 1, deduplicated by sorting their packed
+    codes.  Canonical order is the order of all codes, and the table is
+    written once, in that order, from the recorded flips.
+    """
     if not g.is_connected():
         require_chordal(g)  # a chordless cycle is the more useful report
         raise ValueError("input graph must be connected")
-    keys, rows, parents = _flip_search(g, cap)
-    # canonical order is the sorted keys; the table is relabeled by rank
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    peo = _capped_peo(g, cap)
+    edges = sorted(g.edges)
+    m = len(edges)
+    column = {edge: e for e, edge in enumerate(edges)}
+
+    def arc(x, y):
+        """(column, value) of the arc x->y."""
+        return (column[x, y], 0) if x < y else (column[y, x], 1)
+
+    def one_ended(x, others):
+        """Triples for x->c on each c in ``others``, paired with the zero column."""
+        return [(e, m, p) for e, p in (arc(x, c) for c in others)]
+
+    cover = []
+    for u, v in edges:
+        nu, nv = g.adj[u] - {v}, g.adj[v] - {u}
+        triples = one_ended(u, nu - nv) + one_ended(v, nv - nu)
+        for c in nu & nv:
+            (i, p), (j, q) = arc(c, u), arc(c, v)
+            triples.append((i, j, p ^ q))
+        cover.append(triples)
+    cover = _conditions(cover, m)
+    cliques = maximal_cliques(g)
+    outward = _conditions(
+        [[t for w in k for t in one_ended(w, g.adj[w] - k)] for k in cliques], m
+    )
+
+    level = np.zeros((1, m + 1), dtype=np.uint8)
+    for x, y in _peo_arcs(g, peo):
+        e, p = arc(x, y)
+        level[0, e] = p
+    back = np.zeros((1, m), dtype=bool)  # the flips that reached each state
+    levels, flips, base = [level], [], 0
+    while True:
+        s, e = np.nonzero(_holds(level, cover) & ~back)
+        if not len(s):
+            break
+        reached = level[s]
+        reached[np.arange(len(s)), e] ^= 1
+        order, codes = _sorted_codes(reached)
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+        child = np.empty(len(order), dtype=np.intp)
+        child[order] = np.cumsum(first) - 1
+        top = base + len(level)
+        flips.append((base + s, e, top + child))
+        level = reached[order[first]]
+        back = np.zeros((len(level), m), dtype=bool)
+        back[child, e] = True
+        levels.append(level)
+        base = top
+    rows = np.concatenate(levels)
+    del levels, level, back
+    order = _sorted_codes(rows)[0]
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    flip_table = rank[np.array(rows, dtype=np.int64)[order]]
-    cliques = maximal_cliques(g)
-    members = [(1 << k, t, sum(1 << w for w in t)) for k, t in enumerate(cliques)]
-    nonfollowers = [
-        sum(bit for bit, t, mask in members if all(par[w] & ~mask == 0 for w in t))
-        for par in (parents[i] for i in order)
-    ]
-    keys = [keys[i] for i in order]
+    flip_table = np.empty((len(order), m), dtype=np.int64)
+    flip_table[:] = np.arange(len(order))[:, None]
+    for s, e, c in flips:
+        flip_table[rank[s], e] = rank[c]
+        flip_table[rank[c], e] = rank[s]
+    nonfollowers = _holds(rows, outward)[order]
+    orientations = rows[order, :m]
     start = int(rank[0])  # the search's first state is the PEO orientation
-    return OrientationSpace(g, keys, start, flip_table, cliques, nonfollowers)
+    return OrientationSpace(g, orientations, start, flip_table, cliques, nonfollowers)

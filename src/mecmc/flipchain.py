@@ -264,8 +264,10 @@ def clique_cut_bottlenecks(space):
     empty or heavier than half the space.
     """
     out = {}
+    # alone[v, i]: clique i is state v's only non-follower
+    alone = space.nonfollowers & (space.nonfollowers.sum(axis=1) == 1)[:, None]
     for i in range(len(space.cliques)):
-        cut = [v for v, mask in enumerate(space.nonfollower_masks) if mask == 1 << i]
+        cut = np.flatnonzero(alone[:, i]).tolist()
         if not cut or 2 * len(cut) > space.size:
             continue
         out[i] = bottleneck_ratio(space, cut)

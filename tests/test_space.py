@@ -1,10 +1,19 @@
 """The array-backed OrientationSpace against a per-Amo reference build."""
 
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings
 
 from conftest import SUITE
 from mecmc.amo import build_orientation_space, enumerate_amos, peo_orientation
-from mecmc.graphs import maximal_cliques, path_graph
+from mecmc.graphs import (
+    UndirectedGraph,
+    complete_graph,
+    glued_clique_chain,
+    maximal_cliques,
+    path_graph,
+)
 from oracles import Amo, flip_candidates, non_follower_cliques
 from strategies import chordal_graphs
 
@@ -63,8 +72,80 @@ def test_path_beyond_64_vertices():
     g = path_graph(70)
     space = build_orientation_space(g)
     assert space.size == 70
-    # bit 69 of a parent mask is set where 69 is the source and parent of 68
+    # the last edge, 68-69, points down where 69 is the source
     assert any((69, 68) in key for key in space.keys)
     # the source's one or two out-arcs are the only covered edges
     assert sum(space.degree(i) for i in range(space.size)) == 2 * 69
     assert_matches_oracle(g, space)
+
+
+def flip_distances(space):
+    """Flip distance from ``start`` to each state, by breadth-first search
+    over the table."""
+    dist = {space.start: 0}
+    frontier = [space.start]
+    for i in frontier:  # the loop reaches states appended below
+        for j in space.flip_table[i].tolist():
+            if j not in dist:
+                dist[j] = dist[i] + 1
+                frontier.append(j)
+    return dist
+
+
+@pytest.mark.parametrize(
+    "g, size",
+    [
+        # a 35-vertex spine with one leg per spine vertex: 70 vertices and 69
+        # edges; a tree has one AMO per root
+        (
+            UndirectedGraph(70, [(i, i + 1) for i in range(34)] + [(i, 35 + i) for i in range(35)]),
+            70,
+        ),
+        # 33 triangles, each sharing an edge with the next: 67 edges, and
+        # every inner edge has common neighbours, so paired conditions span words
+        (glued_clique_chain([3] * 33, [2] * 32), 134),
+    ],
+    ids=["caterpillar70", "triangle_strip67"],
+)
+def test_codes_spanning_two_words(g, size):
+    assert g.num_edges > 64
+    space = build_orientation_space(g)
+    assert space.size == size
+    assert_matches_oracle(g, space)
+
+
+def test_one_vertex_and_one_edge():
+    one = build_orientation_space(path_graph(1))
+    assert one.keys == [()]
+    assert (one.start, one.flip_table.shape, one.nonfollower_masks) == (0, (1, 0), [1])
+    assert_matches_oracle(path_graph(1), one)
+    edge = build_orientation_space(path_graph(2))
+    assert edge.keys == [((0, 1),), ((1, 0),)]
+    assert edge.flip_table.tolist() == [[1], [0]]
+    assert_matches_oracle(path_graph(2), edge)
+
+
+def test_long_path_searches_n_minus_1_levels():
+    # the start is rooted at one end of the path, so the search runs n - 1
+    # levels deep, one or two states each; 129 edges take three words
+    n = 130
+    space = build_orientation_space(path_graph(n))
+    assert max(flip_distances(space).values()) == n - 1
+    assert_matches_oracle(path_graph(n), space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chordal_graphs(min_n=1, max_n=8, connected=True))
+def test_array_search_keys_equal_python_search(g):
+    assert build_orientation_space(g).keys == enumerate_amos(g)
+
+
+def test_k8_build_memory():
+    # 40,320 states: the per-state Python search that this build replaced
+    # peaked at 48.5 MB, keys included
+    tracemalloc.start()
+    space = build_orientation_space(complete_graph(8))
+    assert len(space.keys) == 40320
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 48.5e6

@@ -134,9 +134,9 @@ def test_exact_tmix_resumes_after_a_failed_certificate():
 
 
 def test_diagnose_runs_without_scipy(tmp_path):
-    # scipy unimportable: both spectrum paths and a resumed exact_tmix run,
-    # and neither scipy nor numpy.ma (which np.union1d imports on first use)
-    # gets loaded
+    # scipy unimportable: both spectrum paths, a resumed exact_tmix and a
+    # sample-amo run, and neither scipy nor numpy.ma (which np.union1d, np.isin
+    # and a plain np.unique import on first use) gets loaded
     cases = [
         ("sparse", glued_clique_chain([6, 6], [4])),
         ("dense", glued_clique_chain([5, 5], [3])),
@@ -152,6 +152,8 @@ def test_diagnose_runs_without_scipy(tmp_path):
         "from mecmc.cli import main\n"
         "for path in sys.argv[1:]:\n"
         "    assert main(['diagnose', '--input', path, '--out', path + '.json']) == 0\n"
+        "sample = ['--steps', '10', '--samples', '10', '--out', sys.argv[1] + '.sample']\n"
+        "assert main(['sample-amo', '--input', sys.argv[1], *sample]) == 0\n"
         "print([k for k in ('scipy', 'numpy.ma') if sys.modules.get(k) is not None])\n"
     )
     src = os.path.dirname(os.path.dirname(mecmc.__file__))
@@ -166,6 +168,8 @@ def test_diagnose_runs_without_scipy(tmp_path):
     for p, spectrum in paths.items():
         payload = json.loads(p.with_name(p.name + ".json").read_text())
         assert payload["spectrum"] == spectrum
+    sampled = json.loads((tmp_path / "0.txt.sample").read_text())
+    assert sampled["summary"]["n_states"] == count_amos(cases[0][1])
 
 
 def test_asymmetric_table_is_rejected():
