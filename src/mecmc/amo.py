@@ -200,9 +200,15 @@ class OrientationSpace:
         ).reshape(-1, 2)
         ranks = np.sort(arc_of[np.arange(len(edges)), self.orientations], axis=1)
         # one shared tuple per arc; an N x |E| object array in between would
-        # raise the peak RSS of sample-amo on K7 by about 1 MB
+        # raise the peak RSS of sample-amo on K7 by about 1 MB, and so would
+        # a list of all ranks at once on a star of 1,000 vertices by 30 MB
         arc = arcs.__getitem__
-        return [tuple(map(arc, row)) for row in ranks.tolist()]
+        step = 1 + (1 << 16) // max(len(edges), 1)
+        return [
+            tuple(map(arc, row))
+            for block in range(0, len(ranks), step)
+            for row in ranks[block : block + step].tolist()
+        ]
 
     @cached_property
     def nonfollower_masks(self):
@@ -214,23 +220,20 @@ class OrientationSpace:
         return int(np.count_nonzero(self.flip_table[i] != i))
 
 
-def _conditions(groups, zero):
-    """Condition groups as three |groups| x width arrays: group k holds on a
-    row when ``row[i] ^ row[j] == p`` for each of its triples (i, j, p).
-    Groups are padded to one width with (zero, zero, 0), which always holds
-    on rows whose column ``zero`` is 0, so an empty group holds on every
-    such row."""
-    width = max(map(len, groups), default=0) or 1
-    pad = [(zero, zero, 0)]
-    triples = [group + pad * (width - len(group)) for group in groups]
-    ijp = np.array(triples, dtype=np.intp).reshape(len(groups), width, 3)
-    return ijp[..., 0], ijp[..., 1], ijp[..., 2].astype(np.uint8)
-
-
-def _holds(rows, conditions):
-    """S x |groups| bool: which groups of ``_conditions`` hold on each row."""
-    i, j, p = conditions
-    return ((rows[:, i] ^ rows[:, j]) == p).all(axis=2)
+def _by_depth(runs):
+    """For each depth d, the runs longer than d and item d of each, as
+    (runs, items) arrays: one vector operation per depth covers every item,
+    however uneven the run lengths, in as many passes as the longest run.
+    A pass over every run takes a slice, which adds in place."""
+    lengths = np.array([len(run) for run in runs], dtype=np.intp)
+    items = np.array([item for run in runs for item in run], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    passes = []
+    for d in range(lengths.max(initial=0)):
+        longer = lengths > d
+        which = slice(None) if longer.all() else np.flatnonzero(longer)
+        passes.append((which, items[starts[longer] + d].T))
+    return passes
 
 
 def _sorted_codes(rows):
@@ -238,7 +241,8 @@ def _sorted_codes(rows):
     codes: each row's bits packed into 64-bit words, first column highest,
     so that the words compare as the rows do."""
     packed = np.packbits(rows, axis=1)
-    words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    # at least one word, so that a graph without edges has a code too
+    words = np.zeros((len(rows), max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
     # read big-endian, held native: sorting the byte-swapped view instead
     # raised the peak RSS of flip-sample's commands by about 0.15 MB
@@ -251,57 +255,87 @@ def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
     """The ``OrientationSpace`` of a connected chordal graph, from one
     breadth-first search over covered-edge flips on edge-orientation rows.
 
-    Each state is one uint8 row over the sorted edges, plus a last column
-    that is always 0.  Edge u-v is covered, whichever way it points, when
-    every other neighbour c of just one endpoint x receives x->c, and every
-    common neighbour points to both endpoints or to neither.  So each edge
-    has a fixed list of (column, column, parity) conditions, and one level
-    of the search tests them on all its rows at once; one-endpoint
-    conditions pair a column with the zero column.  A flip changes one bit,
-    so the flip graph is bipartite and a covered flip from level L lands in
-    level L - 1 or L + 1.  The flips into L - 1 are those that reached L,
-    so the rest give level L + 1, deduplicated by sorting their packed
-    codes.  Canonical order is the order of all codes, and the table is
-    written once, in that order, from the recorded flips.
+    Each state is one uint8 row over the sorted edges, and both tests read
+    its in-degrees, each a sum of arc bits.  Edge u-v is covered,
+    whichever way it points, when indeg(u) + indeg(v) - 1 is twice the
+    number of common neighbours that point to both endpoints: that count
+    is at most indeg(a) and at most indeg(b) - 1 for the arc a->b, with
+    equality in both exactly when parents(b) = parents(a) + {a}.  Clique k
+    is a non-follower when its in-degrees sum to |k|(|k| - 1)/2, its own
+    arcs.  So each level of the search costs its rows times the edges plus
+    the common-neighbour pairs, whatever the degrees.  A flip changes one
+    bit, so the flip graph is bipartite and a covered flip from level L
+    lands in level L - 1 or L + 1.  The flips into L - 1 are those that
+    reached L, so the rest give level L + 1, deduplicated by sorting their
+    packed codes.  Canonical order is the order of all codes, and the table
+    is written once, in that order, from the recorded flips.
     """
     if not g.is_connected():
         require_chordal(g)  # a chordless cycle is the more useful report
         raise ValueError("input graph must be connected")
     peo = _capped_peo(g, cap)
     edges = sorted(g.edges)
-    m = len(edges)
+    m, n = len(edges), g.n
     column = {edge: e for e, edge in enumerate(edges)}
 
     def arc(x, y):
         """(column, value) of the arc x->y."""
         return (column[x, y], 0) if x < y else (column[y, x], 1)
 
-    def one_ended(x, others):
-        """Triples for x->c on each c in ``others``, paired with the zero column."""
-        return [(e, m, p) for e, p in (arc(x, c) for c in others)]
+    # a row's entry e is 1 when edge e points to its smaller endpoint
+    ends = np.array(edges, dtype=np.intp).reshape(m, 2)
 
-    cover = []
-    for u, v in edges:
-        nu, nv = g.adj[u] - {v}, g.adj[v] - {u}
-        triples = one_ended(u, nu - nv) + one_ended(v, nv - nu)
-        for c in nu & nv:
-            (i, p), (j, q) = arc(c, u), arc(c, v)
-            triples.append((i, j, p ^ q))
-        cover.append(triples)
-    cover = _conditions(cover, m)
-    cliques = maximal_cliques(g)
-    outward = _conditions(
-        [[t for w in k for t in one_ended(w, g.adj[w] - k)] for k in cliques], m
-    )
-
-    level = np.zeros((1, m + 1), dtype=np.uint8)
-    for x, y in _peo_arcs(g, peo):
+    def arc_row(x, y):
+        """Row of ``bits`` in ``tests``, a level's columns, then their
+        complements, then a row of zeros, that is 1 where the arc x->y is."""
         e, p = arc(x, y)
-        level[0, e] = p
-    back = np.zeros((1, m), dtype=bool)  # the flips that reached each state
-    levels, flips, base = [level], [], 0
+        return e + m * (1 - p)
+
+    # the arcs into each vertex, run after run, summed by one reduceat call
+    # per level, since passes by depth would cost a hub its degree on every
+    # level; the vertex of a one-vertex graph reads the zero row, so no run
+    # is empty
+    into = [[arc_row(u, v) for u in sorted(g.adj[v])] or [2 * m] for v in range(n)]
+    into_starts = np.cumsum([0] + [len(run) for run in into[:-1]])
+    into = np.array([row for run in into for row in run], dtype=np.intp)
+    # for each common neighbour c of each edge u-v, the arcs c->u and c->v
+    common = _by_depth(
+        [
+            [(arc_row(c, u), arc_row(c, v)) for c in sorted(g.adj[u] & g.adj[v])]
+            for u, v in edges
+        ]
+    )
+    cliques = maximal_cliques(g)
+    inside = _by_depth([sorted(k) for k in cliques])
+    own_arcs = np.array([len(k) * (len(k) - 1) // 2 for k in cliques])[:, None]
+
+    def tests(level):
+        """|E| x S covered edges and |cliques| x S non-followers of a level."""
+        size = len(level)
+        bits = np.zeros((2 * m + 1, size), dtype=np.uint8)
+        bits[:m] = level.T
+        np.bitwise_xor(bits[:m], 1, out=bits[m : 2 * m])
+        indeg = np.add.reduceat(bits[into], into_starts, axis=0, dtype=np.int32)
+        shared = np.zeros((m, size), dtype=np.int32)
+        for run, (cu, cv) in common:
+            shared[run] += bits[cu] & bits[cv]
+        covered = indeg[ends[:, 0]] + indeg[ends[:, 1]] == 2 * shared + 1
+        arcs_in = np.zeros((len(cliques), size), dtype=np.int32)
+        for run, w in inside:
+            arcs_in[run] += indeg[w]
+        return covered, arcs_in == own_arcs
+
+    level = np.zeros((1, m), dtype=np.uint8)
+    for x, y in _peo_arcs(g, peo):
+        e, bit = arc(x, y)
+        level[0, e] = bit
+    back = np.zeros((m, 1), dtype=bool)  # the flips that reached each state
+    levels, followers, flips, base = [], [], [], 0
     while True:
-        s, e = np.nonzero(_holds(level, cover) & ~back)
+        covered, nonfollowers = tests(level)
+        levels.append(level)
+        followers.append(nonfollowers)
+        e, s = np.nonzero(covered & ~back)
         if not len(s):
             break
         reached = level[s]
@@ -314,9 +348,8 @@ def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
         top = base + len(level)
         flips.append((base + s, e, top + child))
         level = reached[order[first]]
-        back = np.zeros((len(level), m), dtype=bool)
-        back[child, e] = True
-        levels.append(level)
+        back = np.zeros((m, len(level)), dtype=bool)
+        back[e, child] = True
         base = top
     rows = np.concatenate(levels)
     del levels, level, back
@@ -328,7 +361,7 @@ def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
     for s, e, c in flips:
         flip_table[rank[s], e] = rank[c]
         flip_table[rank[c], e] = rank[s]
-    nonfollowers = _holds(rows, outward)[order]
-    orientations = rows[order, :m]
+    orientations = rows[order]
+    nonfollowers = np.concatenate(followers, axis=1).T[order]
     start = int(rank[0])  # the search's first state is the PEO orientation
     return OrientationSpace(g, orientations, start, flip_table, cliques, nonfollowers)

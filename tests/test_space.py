@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +14,7 @@ from mecmc.graphs import (
     glued_clique_chain,
     maximal_cliques,
     path_graph,
+    star_graph,
 )
 from oracles import Amo, flip_candidates, non_follower_cliques
 from strategies import chordal_graphs
@@ -102,7 +104,7 @@ def flip_distances(space):
             70,
         ),
         # 33 triangles, each sharing an edge with the next: 67 edges, and
-        # every inner edge has common neighbours, so paired conditions span words
+        # every inner edge has common neighbours, whose arc pairs span words
         (glued_clique_chain([3] * 33, [2] * 32), 134),
     ],
     ids=["caterpillar70", "triangle_strip67"],
@@ -138,6 +140,30 @@ def test_long_path_searches_n_minus_1_levels():
 @given(chordal_graphs(min_n=1, max_n=8, connected=True))
 def test_array_search_keys_equal_python_search(g):
     assert build_orientation_space(g).keys == enumerate_amos(g)
+
+
+def test_fan_with_uneven_common_neighbours():
+    # edge 0-1 has six common neighbours and every other edge one, plus a
+    # path tail with none, so the common-neighbour counts run to uneven depths
+    fan = [(0, 1)] + [(c, x) for c in range(2, 8) for x in (0, 1)]
+    g = UndirectedGraph(11, fan + [(7, 8), (8, 9), (9, 10)])
+    assert_matches_oracle(g, build_orientation_space(g))
+
+
+def test_star_build_memory():
+    # a hub of degree 999: the covered test costs each row its edges, not its
+    # hub's degree per edge; the per-state Python search that this build
+    # replaced peaked at 41.4 MB, keys included
+    tracemalloc.start()
+    space = build_orientation_space(star_graph(1000))
+    assert len(space.keys) == 1000
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 41.4e6
+    # one AMO per root: from the hub every edge is covered, from a leaf one
+    table = space.flip_table
+    degrees = (table != np.arange(len(table))[:, None]).sum(axis=1)
+    assert sorted(degrees.tolist()) == [1] * 999 + [999]
 
 
 def test_k8_build_memory():
