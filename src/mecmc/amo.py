@@ -163,8 +163,9 @@ class OrientationSpace:
     is state i: entry e is 1 when edge e points from its larger endpoint to
     its smaller one.  States are in canonical order, the order of their keys
     (sorted arc tuples), which is the lexicographic order of the rows.
-    ``keys`` is built from the rows on first access.  ``start`` is the index
-    of the PEO orientation, where the search began.  ``flip_table[i, e]``, a
+    ``keys`` is built from the rows on first access; ``keys_of`` builds the
+    keys of some states only.  ``start`` is the index of the PEO
+    orientation, where the search began.  ``flip_table[i, e]``, a
     C-contiguous N x |E| int64 array, is the state reached by proposing edge
     e: the flip when e is covered, i itself otherwise.  ``nonfollowers[i,
     k]``, an N x |cliques| bool array, is set when clique k receives no arc
@@ -190,6 +191,10 @@ class OrientationSpace:
 
     @cached_property
     def keys(self):
+        return self.keys_of(np.arange(self.size))
+
+    def keys_of(self, states):
+        """The keys of the states at the indices ``states``, as a list."""
         edges = sorted(self.graph.edges)
         arcs = sorted(edges + [(v, u) for u, v in edges])
         rank = {arc: r for r, arc in enumerate(arcs)}
@@ -198,17 +203,19 @@ class OrientationSpace:
             [[rank[u, v], rank[v, u]] for u, v in edges],
             dtype=np.min_scalar_type(len(arcs)),
         ).reshape(-1, 2)
-        ranks = np.sort(arc_of[np.arange(len(edges)), self.orientations], axis=1)
-        # one shared tuple per arc; an N x |E| object array in between would
-        # raise the peak RSS of sample-amo on K7 by about 1 MB, and so would
-        # a list of all ranks at once on a star of 1,000 vertices by 30 MB
+        columns = np.arange(len(edges))
+        # one shared tuple per arc, and rows ranked 65,536 entries at a time:
+        # an N x |E| object array in between would raise the peak RSS of
+        # sample-amo on K7 by about 1 MB, and so would a list of all ranks
+        # at once on a star of 1,000 vertices by 30 MB
         arc = arcs.__getitem__
         step = 1 + (1 << 16) // max(len(edges), 1)
-        return [
-            tuple(map(arc, row))
-            for block in range(0, len(ranks), step)
-            for row in ranks[block : block + step].tolist()
-        ]
+        keys = []
+        for block in range(0, len(states), step):
+            rows = self.orientations[states[block : block + step]]
+            ranks = np.sort(arc_of[columns, rows], axis=1)
+            keys.extend(tuple(map(arc, row)) for row in ranks.tolist())
+        return keys
 
     @cached_property
     def nonfollower_masks(self):

@@ -144,7 +144,7 @@ def cmd_sample_amo(args):
     final = flipchain.sample_many(space, args.steps, args.samples, rng)
     counts = np.bincount(final, minlength=space.size)
     sampled = np.flatnonzero(counts)
-    keys = [space.keys[i] for i in sampled.tolist()]
+    keys = space.keys_of(sampled)
     # both arcs of every edge, as a histogram label part and as the line
     # format_graph writes for it
     label, line = {}, {}

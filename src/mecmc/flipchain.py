@@ -194,13 +194,53 @@ def move_table(space):
     return space.flip_table
 
 
+def _integers(rng, high, size):
+    """``rng.integers(0, high, size=size)``: the same int64 values, and the
+    same state of ``rng.bit_generator`` after.
+
+    For high in [2, 2**32) numpy draws each value from the next 32-bit half
+    h of the words, low half first, a half left over by the last call before
+    them, as (h * high) >> 32, and rejects h when (h * high) mod 2**32 is
+    below 2**32 mod high (Lemire, ACM TOMACS 2019; ``hjy._lemire`` decodes
+    the HJY walk's draws the same way).  So raw ``PCG64`` words are decoded
+    all at once here; numpy draws a block with a rejected half, another
+    range or another bit generator itself, from the state saved before.
+    """
+    bits = rng.bit_generator
+    if not (isinstance(bits, np.random.PCG64) and 2 <= high < 1 << 32):
+        return rng.integers(0, high, size=size)
+    count = int(np.prod(size))
+    saved = bits.state
+    pending = saved["has_uint32"]
+    words = bits.random_raw((count - pending + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")  # low, high, low, ...
+    if pending:
+        halves = np.insert(halves, 0, saved["uinteger"])
+    halves = halves[:count]
+    # (h * high) mod 2**32 in uint32, left unnamed so it is freed at once
+    if count and np.multiply(halves, np.uint32(high)).min() < (1 << 32) % high:
+        bits.state = saved
+        return rng.integers(0, high, size=size)
+    state = bits.state
+    state["has_uint32"] = (count - pending) % 2
+    if len(words):
+        state["uinteger"] = int(words[-1]) >> 32
+    bits.state = state
+    scaled = np.multiply(halves, np.uint64(high), dtype=np.uint64)
+    scaled >>= np.uint64(32)
+    return scaled.view(np.int64).reshape(size)
+
+
 def sample_many(space, steps, count, rng):
     """Vectorized replicas of the chain from the canonical PEO orientation;
     returns final state indices.
 
-    Each step is one gather from the flattened flip table: entry (x, e) of
-    the C-contiguous N x |E| table sits at x * |E| + e of its ``ravel()``
-    view, which shares the table's memory.
+    Each step proposes the edges ``rng.integers(0, |E|, size=count)``: the
+    same values, and the same state of ``rng`` after, though ``_integers``
+    draws about 2**16 at once, decoded from raw words for ``PCG64`` and by
+    numpy otherwise.  Each step is one gather from the flattened flip table:
+    entry (x, e) of the C-contiguous N x |E| table sits at x * |E| + e of
+    its ``ravel()`` view, which shares the table's memory.
     """
     x = np.full(count, space.start, dtype=np.int64)
     m = space.graph.num_edges
@@ -208,8 +248,14 @@ def sample_many(space, steps, count, rng):
         # edgeless graph: one state and no edge to propose, so no draws
         return x
     flat = space.flip_table.ravel()
-    for _ in range(steps):
-        x = flat[x * m + rng.integers(0, m, size=count)]
+    at = np.empty(count, dtype=np.int64)  # each step's flat indices
+    block = max(1, (1 << 16) // max(count, 1))
+    for done in range(0, steps, block):
+        for edges in _integers(rng, m, (min(block, steps - done), count)):
+            np.multiply(x, m, out=at)
+            at += edges
+            # "clip" clips no index here, but unlike "raise" it needs no copy
+            np.take(flat, at, out=x, mode="clip")
     return x
 
 

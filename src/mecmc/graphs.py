@@ -315,18 +315,21 @@ def maximal_cliques(g):
     """Maximal cliques of a chordal graph, sorted lexicographically.
 
     Derived from a perfect elimination ordering: the candidate clique at v is
-    v plus its later neighbors; non-maximal candidates are discarded.
+    v plus its later neighbors.  A candidate lies in another exactly when
+    some u has v as its first later neighbor and one later neighbor more
+    than v (Blair & Peyton 1993), so one pass drops the non-maximal ones.
     """
     peo = require_chordal(g)
     pos = {v: i for i, v in enumerate(peo)}
-    cands = []
-    for v in peo:
-        c = frozenset({v} | {w for w in g.adj[v] if pos[w] > pos[v]})
-        cands.append(c)
-    cliques = [
-        c for c in cands if not any(c < other for other in cands)
-    ]
-    return sorted(set(cliques), key=lambda c: tuple(sorted(c)))
+    later = {v: {w for w in g.adj[v] if pos[w] > pos[v]} for v in peo}
+    dropped = set()
+    for u in peo:
+        if later[u]:
+            v = min(later[u], key=pos.__getitem__)
+            if len(later[u]) == len(later[v]) + 1:
+                dropped.add(v)
+    cliques = [frozenset({v} | later[v]) for v in peo if v not in dropped]
+    return sorted(cliques, key=lambda c: tuple(sorted(c)))
 
 
 @dataclass

@@ -460,7 +460,8 @@ def proposals(n, bits):
 def _lemire(halves, high):
     """Each 32-bit draw h of ``halves`` scaled to range(high), as a list:
     m >> 32 for m = h * high, or -1, rejected, when m mod 2**32 is below
-    2**32 mod high."""
+    2**32 mod high.  ``flipchain._integers`` decodes the flip walk's draws
+    by the same rule."""
     import numpy as np
 
     m = halves * np.uint64(high)

@@ -7,14 +7,16 @@ from a key, the covered-edge and non-follower tests on parent sets, the
 chain step on one ``Amo``, and the essential graph as the arcs shared by
 every member of the class.  The vectorized walk is kept indexing the 2-D
 flip table by (state, edge), and ``sample-amo``'s output formatting each
-sampled state from its key.  Two whole-graph routines are kept in their
+sampled state from its key.  Three whole-graph routines are kept in their
 earlier form: the AMO count as the He-Jia-Yu root-peeling recursion that
-re-solves every rooted subproblem, and maximum cardinality search as a scan
-of every unvisited vertex per step.  Markov equivalence is tested on the
-definition (equal skeletons and immoralities), the flip chain's law
-after t steps comes from t vector-matrix products, and its exact mixing
-time from repeated squaring of the whole transition matrix, whose entries
-are picked out of a row index as large as the flip table.  The HJY chain's
+re-solves every rooted subproblem, maximum cardinality search as a scan
+of every unvisited vertex per step, and the maximal cliques of a chordal
+graph as the candidates that lie in no other candidate.  Markov
+equivalence is tested on the definition (equal skeletons and
+immoralities), the flip chain's law after t steps comes from t
+vector-matrix products, and its exact mixing time from repeated squaring
+of the whole transition matrix, whose entries are picked out of a row
+index as large as the flip table.  The HJY chain's
 exact kernel is kept as a breadth-first search that builds a ``Move`` per
 candidate and a ``Pdag`` per result, with one ``{j: Fraction}`` row per
 state, and its proposals as one ``Generator.integers`` call per draw.
@@ -353,6 +355,17 @@ def maximum_cardinality_search_by_scan(g, start=0):
                 weight[w] += 1
         current = None
     return order
+
+
+def maximal_cliques_by_inclusion(g):
+    """``graphs.maximal_cliques`` testing each candidate clique, a vertex
+    and its later neighbours in a perfect elimination ordering, against
+    every other."""
+    peo = require_chordal(g)
+    pos = {v: i for i, v in enumerate(peo)}
+    cands = [frozenset({v} | {w for w in g.adj[v] if pos[w] > pos[v]}) for v in peo]
+    cliques = [c for c in cands if not any(c < other for other in cands)]
+    return sorted(set(cliques), key=lambda c: tuple(sorted(c)))
 
 
 def _edit(state, move):

@@ -4,11 +4,14 @@ from math import comb, cos, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecmc.amo import build_orientation_space, peo_orientation
 from mecmc.flipchain import (
     EIGEN_TOL,
     TransitionMatrix,
+    _integers,
     bottleneck_ratio,
     clique_cut_bottlenecks,
     comparison_bound,
@@ -141,12 +144,14 @@ def test_sample_many_replays_the_reference_walk(suite_spaces, name):
 
 def test_sample_many_matches_row_indexed_walk(suite_spaces):
     # the flat gather must land where (state, edge) indexing lands, draw for
-    # draw, on every suite space and on the smallest and longest edge counts
+    # draw, on every suite space and on the smallest and longest edge counts;
+    # 3,001 replicas draw in 21-step blocks of an odd size, so a half is
+    # left over across block edges
     spaces = dict(suite_spaces)
     spaces["edge"] = build_orientation_space(path_graph(2))  # m = 1
     spaces["path40"] = build_orientation_space(path_graph(40))  # m = 39
     for name, space in spaces.items():
-        for steps, count in ((0, 7), (1, 1), (25, 1), (60, 300)):
+        for steps, count in ((0, 7), (1, 1), (25, 1), (60, 300), (50, 3001)):
             for seed in (0, 1, 2017):
                 rng, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
                 final = sample_many(space, steps, count, rng)
@@ -155,6 +160,79 @@ def test_sample_many_matches_row_indexed_walk(suite_spaces):
                 assert np.array_equal(final, rows), (name, steps, count, seed)
                 # and both drew the same amount from the generator
                 assert rng.bit_generator.state == rng_rows.bit_generator.state
+
+
+class CountingGenerator:
+    """A Generator that counts its own ``integers`` calls, which
+    ``_integers`` makes only when it falls back to numpy."""
+
+    def __init__(self, seed, bits=np.random.PCG64):
+        self.rng = np.random.Generator(bits(seed))
+        self.bit_generator = self.rng.bit_generator
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def rejects(bits, high, count):
+    """Whether numpy rejects one of the next ``count`` 32-bit halves of
+    ``bits`` for ``high``, read from a copy of it: integers(2**32) returns
+    the halves themselves."""
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = bits.state
+    halves = copy.integers(0, 2**32, size=count).tolist()
+    return any(h * high % 2**32 < 2**32 % high for h in halves)
+
+
+# numpy rejects a quarter of the halves at 3 * 2**30, about half at
+# 2**31 + 1, and only a zero half at 2**32 - 1
+HEAVY_HIGHS = (3 * 2**30, 2**31 + 1, 2**32 - 1)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    before=st.lists(st.integers(0, 5), max_size=3),
+    highs=st.lists(
+        st.one_of(st.integers(2, 2**32 - 1), st.sampled_from(HEAVY_HIGHS)),
+        min_size=1,
+        max_size=3,
+    ),
+    size=st.sampled_from([0, 1, 2, 7, 10, (3, 5), (2, 4), (0, 3)]),
+)
+@settings(max_examples=400, deadline=None)
+def test_pcg64_integers_match_generator(seed, before, highs, size):
+    # earlier integers calls of odd total size leave a half pending
+    rng, want = CountingGenerator(seed), np.random.default_rng(seed)
+    for k in before:
+        assert np.array_equal(rng.integers(0, 10, size=k), want.integers(0, 10, size=k))
+    for high in highs:
+        calls = rng.calls + rejects(rng.bit_generator, high, int(np.prod(size)))
+        got, expected = _integers(rng, high, size), want.integers(0, high, size=size)
+        assert got.dtype == expected.dtype == np.int64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == want.bit_generator.state
+        # numpy draws exactly the blocks that hold a rejected half
+        assert rng.calls == calls
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("high", [1, 3 * 2**30, 2**32, 2**40])
+def test_pcg64_integers_fall_back_to_numpy(bits, high):
+    # 1,000 draws at 3 * 2**30 hold a rejected half but for odds of
+    # 0.75**1000; another bit generator or range is numpy's throughout
+    for seed in range(3):
+        rng, want = CountingGenerator(seed, bits), np.random.Generator(bits(seed))
+        rng.integers(0, 10, size=1)
+        want.integers(0, 10, size=1)
+        got = _integers(rng, high, (4, 250))
+        assert np.array_equal(got, want.integers(0, high, size=(4, 250)))
+        assert rng.calls == 2
+        # the generators go on alike (an MT19937 state holds an array)
+        after = rng.integers(0, 2**32, size=3)
+        assert np.array_equal(after, want.integers(0, 2**32, size=3))
 
 
 def test_move_table_consistent_with_step():

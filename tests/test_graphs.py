@@ -31,7 +31,7 @@ from mecmc.graphs import (
     require_chordal,
     star_graph,
 )
-from oracles import maximum_cardinality_search_by_scan
+from oracles import maximal_cliques_by_inclusion, maximum_cardinality_search_by_scan
 from strategies import chordal_graphs, small_dags, small_graphs
 
 
@@ -284,6 +284,13 @@ def test_maximal_cliques_properties(g):
                 assert not all(g.has_edge(v, w) for w in c)
     assert covered == set(g.edges)
     assert len(set(cliques)) == len(cliques)
+
+
+@given(chordal_graphs(max_n=12))
+@settings(max_examples=300, deadline=None)
+def test_maximal_cliques_match_inclusion_filter(g):
+    # disconnected graphs included
+    assert maximal_cliques(g) == maximal_cliques_by_inclusion(g)
 
 
 @given(chordal_graphs(max_n=8))

@@ -40,6 +40,9 @@ def assert_matches_oracle(g, space):
     keys, table, adjacency, nonfollowers = oracle_space(g)
     assert list(space.keys) == keys
     assert space.keys[space.start] == peo_orientation(g)
+    # keys_of names any states, in the order asked
+    assert space.keys_of(np.arange(space.size)[::-2]) == keys[::-2]
+    assert space.keys_of(np.arange(0)) == []
     assert space.flip_table.shape == (len(keys), g.num_edges)
     # sample_many walks a ravel() view of the table, a copy unless contiguous
     assert space.flip_table.flags.c_contiguous
