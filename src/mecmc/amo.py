@@ -164,10 +164,11 @@ class OrientationSpace:
     its smaller one.  States are in canonical order, the order of their keys
     (sorted arc tuples), which is the lexicographic order of the rows.
     ``keys`` is built from the rows on first access; ``keys_of`` builds the
-    keys of some states only.  ``start`` is the index of the PEO
-    orientation, where the search began.  ``flip_table[i, e]``, a
-    C-contiguous N x |E| int64 array, is the state reached by proposing edge
-    e: the flip when e is covered, i itself otherwise.  ``nonfollowers[i,
+    keys of some states only, from their rows of arc ranks (``arc_ranks``).
+    ``start`` is the index of the PEO orientation, where the search began.
+    ``flip_table[i, e]``, a C-contiguous N x |E| int32 array (the state cap
+    is below 2**31), is the state reached by proposing edge e: the flip when
+    e is covered, i itself otherwise.  ``nonfollowers[i,
     k]``, an N x |cliques| bool array, is set when clique k receives no arc
     from outside itself; ``nonfollower_masks[i]`` is row i as a Python-int
     bitmask, and its popcount is M(v) in deg(v) = |G| - C(G) + M(v) - 1.
@@ -193,8 +194,9 @@ class OrientationSpace:
     def keys(self):
         return self.keys_of(np.arange(self.size))
 
-    def keys_of(self, states):
-        """The keys of the states at the indices ``states``, as a list."""
+    def arc_ranks(self, states):
+        """The sorted arcs, and the rows of arc ranks that give the keys of
+        the states at the indices ``states``, a list of rows per block."""
         edges = sorted(self.graph.edges)
         arcs = sorted(edges + [(v, u) for u, v in edges])
         rank = {arc: r for r, arc in enumerate(arcs)}
@@ -204,18 +206,19 @@ class OrientationSpace:
             dtype=np.min_scalar_type(len(arcs)),
         ).reshape(-1, 2)
         columns = np.arange(len(edges))
-        # one shared tuple per arc, and rows ranked 65,536 entries at a time:
-        # an N x |E| object array in between would raise the peak RSS of
-        # sample-amo on K7 by about 1 MB, and so would a list of all ranks
-        # at once on a star of 1,000 vertices by 30 MB
-        arc = arcs.__getitem__
+        # rows ranked 65,536 entries at a time: an N x |E| object array in
+        # between would raise the peak RSS of sample-amo on K7 by about 1 MB,
+        # and so would a list of all ranks at once on a star of 1,000
+        # vertices by 30 MB
         step = 1 + (1 << 16) // max(len(edges), 1)
-        keys = []
-        for block in range(0, len(states), step):
-            rows = self.orientations[states[block : block + step]]
-            ranks = np.sort(arc_of[columns, rows], axis=1)
-            keys.extend(tuple(map(arc, row)) for row in ranks.tolist())
-        return keys
+        starts = range(0, len(states), step)
+        rows = (self.orientations[states[b : b + step]] for b in starts)
+        return arcs, (np.sort(arc_of[columns, r], axis=1).tolist() for r in rows)
+
+    def keys_of(self, states):
+        """The keys of the states at the indices ``states``, as a list."""
+        arcs, blocks = self.arc_ranks(states)  # one shared tuple per arc
+        return [tuple(map(arcs.__getitem__, row)) for rows in blocks for row in rows]
 
     @cached_property
     def nonfollower_masks(self):
@@ -363,7 +366,7 @@ def build_orientation_space(g, cap=DEFAULT_STATE_CAP):
     order = _sorted_codes(rows)[0]
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    flip_table = np.empty((len(order), m), dtype=np.int64)
+    flip_table = np.empty((len(order), m), dtype=np.int32)
     flip_table[:] = np.arange(len(order))[:, None]
     for s, e, c in flips:
         flip_table[rank[s], e] = rank[c]

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class RunConfig:
     rng: str = "numpy-pcg64"
 
     def to_dict(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def state_cap():
@@ -144,40 +145,34 @@ def cmd_sample_amo(args):
     final = flipchain.sample_many(space, args.steps, args.samples, rng)
     counts = np.bincount(final, minlength=space.size)
     sampled = np.flatnonzero(counts)
-    keys = space.keys_of(sampled)
-    # both arcs of every edge, as a histogram label part and as the line
-    # format_graph writes for it
-    label, line = {}, {}
-    for a, b in space.graph.edges:
-        for u, v in ((a, b), (b, a)):
-            label[u, v] = f"{u}>{v}"
-            line[u, v] = f"{u} -> {v}\n"
-    names = [";".join([label[arc] for arc in key]) for key in keys]
-    hist = dict(zip(names, counts[sampled].tolist()))
+    arcs, blocks = space.arc_ranks(sampled)
+    # each arc's label part, and its format_graph line with the newline escaped
+    # as in JSON: no label or graph text holds anything else that JSON escapes
+    label = [f"{u}>{v}" for u, v in arcs]
+    line = [f"{u} -> {v}\\n" for u, v in arcs]
+    # (name, count, text) of each sampled state, by name: sort_keys's order
+    hist = sorted(
+        (";".join([label[r] for r in row]), c, "".join([line[r] for r in row]))
+        for row, c in zip(itertools.chain(*blocks), counts[sampled].tolist())
+    )
     if args.format == "csv":
-        rows = [f"# config {json.dumps(config.to_dict(), sort_keys=True)}"]
-        rows.append("orientation,count")
-        rows.extend(f"{k},{v}" for k, v in sorted(hist.items()))
-        rows.append(f"# n_states {space.size} distinct_sampled {len(hist)}")
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        head = f"n {space.graph.n}\n"
-        payload = {
-            "config": config.to_dict(),
-            "summary": {
-                "n_states": space.size,
-                "distinct_sampled": len(hist),
-                "samples": args.samples,
-                "steps": args.steps,
-            },
-            "histogram": hist,
-            # keys are sorted arc tuples, so this is format_graph(n, (), key)
-            "orientations": {
-                name: head + "".join([line[arc] for arc in key])
-                for name, key in zip(names, keys)
-            },
-        }
-        _emit(_dump_json(payload), args.out)
+        top = f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n"
+        rows = [f"{name},{c}\n" for name, c, _ in hist]
+        end = f"# n_states {space.size} distinct_sampled {len(hist)}\n"
+        _emit([top, "orientation,count\n", *rows, end], args.out)
+        return 0
+    payload = {"config": config.to_dict(), "histogram": None, "orientations": None}
+    payload["summary"] = {"n_states": space.size, "distinct_sampled": len(hist)}
+    payload["summary"].update(samples=args.samples, steps=args.steps)
+    # only the config and the summary go through json; the histogram and the
+    # orientations, the two nulls there, are written a member at a time
+    top, *rest = _dump_json(payload).rsplit("null", 2)
+    middle, end = ("\n  }" + part for part in rest)
+    head = f"n {space.graph.n}\\n"  # keys are sorted: format_graph(n, (), key)
+    sep = ["{\n"] + [",\n"] * (len(hist) - 1)
+    histogram = (f'{s}    "{name}": {c}' for s, (name, c, _) in zip(sep, hist))
+    texts = (f'{s}    "{name}": "{head}{t}"' for s, (name, _, t) in zip(sep, hist))
+    _emit(itertools.chain([top], histogram, [middle], texts, [end]), args.out)
     return 0
 
 

@@ -49,7 +49,7 @@ class TransitionMatrix:
     """
 
     def __init__(self, flip_table):
-        self.flip_table = np.asarray(flip_table, dtype=np.int64)
+        self.flip_table = np.asarray(flip_table)  # as given: no int64 copy
 
     @property
     def dimension(self):
@@ -194,9 +194,10 @@ def move_table(space):
     return space.flip_table
 
 
-def _integers(rng, high, size):
+def _integers(rng, high, size, out):
     """``rng.integers(0, high, size=size)``: the same int64 values, and the
-    same state of ``rng.bit_generator`` after.
+    same state of ``rng.bit_generator`` after.  They may be a view of ``out``,
+    a little-endian uint64 buffer as long or longer, until the next call.
 
     For high in [2, 2**32) numpy draws each value from the next 32-bit half
     h of the words, low half first, a half left over by the last call before
@@ -214,11 +215,12 @@ def _integers(rng, high, size):
     pending = saved["has_uint32"]
     words = bits.random_raw((count - pending + 1) // 2)
     halves = words.astype("<u8", copy=False).view("<u4")  # low, high, low, ...
-    if pending:
-        halves = np.insert(halves, 0, saved["uinteger"])
-    halves = halves[:count]
-    # (h * high) mod 2**32 in uint32, left unnamed so it is freed at once
-    if count and np.multiply(halves, np.uint32(high)).min() < (1 << 32) % high:
+    products = out[:count]
+    products[:pending] = saved["uinteger"]
+    products[pending:] = halves[: count - pending]
+    products *= np.uint64(high)
+    # the products' low halves are (h * high) mod 2**32
+    if count and products.view("<u4")[::2].min() < (1 << 32) % high:
         bits.state = saved
         return rng.integers(0, high, size=size)
     state = bits.state
@@ -226,37 +228,36 @@ def _integers(rng, high, size):
     if len(words):
         state["uinteger"] = int(words[-1]) >> 32
     bits.state = state
-    scaled = np.multiply(halves, np.uint64(high), dtype=np.uint64)
-    scaled >>= np.uint64(32)
-    return scaled.view(np.int64).reshape(size)
+    products >>= np.uint64(32)
+    return products.view("<i8").reshape(size)
 
 
 def sample_many(space, steps, count, rng):
     """Vectorized replicas of the chain from the canonical PEO orientation;
-    returns final state indices.
+    returns final state indices, int64.
 
     Each step proposes the edges ``rng.integers(0, |E|, size=count)``: the
     same values, and the same state of ``rng`` after, though ``_integers``
-    draws about 2**16 at once, decoded from raw words for ``PCG64`` and by
-    numpy otherwise.  Each step is one gather from the flattened flip table:
-    entry (x, e) of the C-contiguous N x |E| table sits at x * |E| + e of
-    its ``ravel()`` view, which shares the table's memory.
+    draws about 2**16 at once into one buffer, decoded from raw words for
+    ``PCG64`` and by numpy otherwise.  State x is held as its offset x * |E|
+    into the flip table times |E|, flattened, int64 since N * |E| can pass
+    2**31: entry (x, e) sits at x * |E| + e, so a step is one add and one gather.
     """
-    x = np.full(count, space.start, dtype=np.int64)
     m = space.graph.num_edges
+    # an edgeless graph has one state, 0, and no edge to propose: no draws
+    x = np.full(count, space.start * m, dtype=np.int64)
     if m == 0:
-        # edgeless graph: one state and no edge to propose, so no draws
         return x
-    flat = space.flip_table.ravel()
+    offsets = np.multiply(space.flip_table, m, dtype=np.int64).ravel()
     at = np.empty(count, dtype=np.int64)  # each step's flat indices
     block = max(1, (1 << 16) // max(count, 1))
+    drawn = np.empty(min(block, steps) * count, dtype="<u8")
     for done in range(0, steps, block):
-        for edges in _integers(rng, m, (min(block, steps - done), count)):
-            np.multiply(x, m, out=at)
-            at += edges
+        for edges in _integers(rng, m, (min(block, steps - done), count), drawn):
+            np.add(x, edges, out=at)
             # "clip" clips no index here, but unlike "raise" it needs no copy
-            np.take(flat, at, out=x, mode="clip")
-    return x
+            offsets.take(at, out=x, mode="clip")
+    return x // m
 
 
 def empirical_tv(space, steps, samples, rng):

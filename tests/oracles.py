@@ -197,7 +197,8 @@ def sample_many_by_rows(space, steps, count, rng):
         return x
     for _ in range(steps):
         x = space.flip_table[x, rng.integers(0, m, size=count)]
-    return x
+    # indexing the int32 table gives int32 states; sample_many returns int64
+    return x.astype(np.int64)
 
 
 def arc_string(key):

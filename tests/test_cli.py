@@ -741,6 +741,30 @@ def test_sample_amo_output_matches_per_state_rendering(tmp_path, fmt):
         assert out.read_text() == expected, name
 
 
+# sha256 of `mecmc sample-amo --steps 200 --samples 3000 --seed 5`, run in
+# the input's directory so that the config names it as "<graph>.txt";
+# recorded while each step multiplied the states by |E| and the output went
+# through json's indent encoder
+PINNED_SAMPLE_AMO = {
+    ("k7", "json"): "265c74f825de6341948ecf7ca9f4002b95f5457fcc1e5a8b8f51efd0b98a3b9d",
+    ("k7", "csv"): "867881cfe02970c753a88db35192c4d6b9274a0342420f13e4d7504848dfa55a",
+    ("two_digit_tree", "json"): "70648da8ad646eb485d72c4a636f9acd7d0e817cd2263e4e9ed6dea154ae1d54",
+    ("two_digit_tree", "csv"): "d536acb1d26ec19dc608b8f40e8d507ecddfca644b7406ccc6a796bddf7e7a10",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PINNED_SAMPLE_AMO))
+def test_sample_amo_output_is_pinned(tmp_path, monkeypatch, name, fmt):
+    graph = complete_graph(7) if name == "k7" else SAMPLE_GRAPHS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.txt").write_text(format_pdag(graph))
+    argv = ["sample-amo", "--input", f"{name}.txt", "--steps", "200"]
+    argv += ["--samples", "3000", "--seed", "5", "--format", fmt, "--out", "out"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest()
+    assert digest == PINNED_SAMPLE_AMO[(name, fmt)]
+
+
 def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     # main shares one parser across calls; no default or flag a call sets
     # may reach the next one, so each output must equal the same command's

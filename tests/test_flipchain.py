@@ -4,7 +4,7 @@ from math import comb, cos, pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecmc.amo import build_orientation_space, peo_orientation
@@ -162,6 +162,24 @@ def test_sample_many_matches_row_indexed_walk(suite_spaces):
                 assert rng.bit_generator.state == rng_rows.bit_generator.state
 
 
+def test_sample_many_on_the_int32_table_returns_int64(suite_spaces):
+    # the flat offsets x * |E| are int64 whatever the table's width: under
+    # numpy 1.24's value-based casting and numpy 2's weak Python ints alike,
+    # an int32 table times |E| would stay int32 and wrap past 2**31
+    space = suite_spaces["two_k5_share3"]
+    assert space.flip_table.dtype == np.int32
+    final = sample_many(space, 300, 1001, np.random.default_rng(3))
+    rows = sample_many_by_rows(space, 300, 1001, np.random.default_rng(3))
+    assert final.dtype == np.int64
+    assert np.array_equal(final, rows)
+
+
+def test_transition_matrix_shares_the_flip_table(suite_spaces):
+    # the matrix reads the int32 table as it is, with no widened copy
+    space = suite_spaces["two_k4_share2"]
+    assert np.shares_memory(transition_matrix(space).flip_table, space.flip_table)
+
+
 class CountingGenerator:
     """A Generator that counts its own ``integers`` calls, which
     ``_integers`` makes only when it falls back to numpy."""
@@ -201,15 +219,21 @@ HEAVY_HIGHS = (3 * 2**30, 2**31 + 1, 2**32 - 1)
     ),
     size=st.sampled_from([0, 1, 2, 7, 10, (3, 5), (2, 4), (0, 3)]),
 )
+@example(seed=0, before=[1], highs=[7, 3 * 2**30, 2**31 - 1], size=7)
 @settings(max_examples=400, deadline=None)
 def test_pcg64_integers_match_generator(seed, before, highs, size):
-    # earlier integers calls of odd total size leave a half pending
+    # earlier integers calls of odd total size leave a half pending, and so
+    # do chained calls of odd size; as in sample_many, every call decodes
+    # into one shared buffer, here longer than any request, and each result
+    # is copied before the next call overwrites it
     rng, want = CountingGenerator(seed), np.random.default_rng(seed)
     for k in before:
         assert np.array_equal(rng.integers(0, 10, size=k), want.integers(0, 10, size=k))
+    buffer = np.empty(16, dtype="<u8")
     for high in highs:
         calls = rng.calls + rejects(rng.bit_generator, high, int(np.prod(size)))
-        got, expected = _integers(rng, high, size), want.integers(0, high, size=size)
+        got = _integers(rng, high, size, buffer).copy()
+        expected = want.integers(0, high, size=size)
         assert got.dtype == expected.dtype == np.int64
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
@@ -227,7 +251,7 @@ def test_pcg64_integers_fall_back_to_numpy(bits, high):
         rng, want = CountingGenerator(seed, bits), np.random.Generator(bits(seed))
         rng.integers(0, 10, size=1)
         want.integers(0, 10, size=1)
-        got = _integers(rng, high, (4, 250))
+        got = _integers(rng, high, (4, 250), np.empty(1000, dtype="<u8"))
         assert np.array_equal(got, want.integers(0, high, size=(4, 250)))
         assert rng.calls == 2
         # the generators go on alike (an MT19937 state holds an array)
