@@ -195,30 +195,30 @@ class OrientationSpace:
         return self.keys_of(np.arange(self.size))
 
     def arc_ranks(self, states):
-        """The sorted arcs, and the rows of arc ranks that give the keys of
-        the states at the indices ``states``, a list of rows per block."""
+        """The sorted arcs, and an iterator over the rows of arc ranks that
+        give the keys of the states at the indices ``states``, in order."""
         edges = sorted(self.graph.edges)
         arcs = sorted(edges + [(v, u) for u, v in edges])
         rank = {arc: r for r, arc in enumerate(arcs)}
-        # rank of each edge's arc for bits 0 and 1, in the smallest dtype
-        arc_of = np.array(
+        # rank of each edge's arc for bits 0 (up) and 1 (down), in the smallest dtype
+        up, down = np.array(
             [[rank[u, v], rank[v, u]] for u, v in edges],
             dtype=np.min_scalar_type(len(arcs)),
-        ).reshape(-1, 2)
-        columns = np.arange(len(edges))
+        ).reshape(-1, 2).T
         # rows ranked 65,536 entries at a time: an N x |E| object array in
         # between would raise the peak RSS of sample-amo on K7 by about 1 MB,
         # and so would a list of all ranks at once on a star of 1,000
         # vertices by 30 MB
         step = 1 + (1 << 16) // max(len(edges), 1)
         starts = range(0, len(states), step)
-        rows = (self.orientations[states[b : b + step]] for b in starts)
-        return arcs, (np.sort(arc_of[columns, r], axis=1).tolist() for r in rows)
+        blocks = (self.orientations[states[b : b + step]] for b in starts)
+        ranks = (np.sort(np.where(bits, down, up), axis=1).tolist() for bits in blocks)
+        return arcs, (row for rows in ranks for row in rows)
 
     def keys_of(self, states):
         """The keys of the states at the indices ``states``, as a list."""
-        arcs, blocks = self.arc_ranks(states)  # one shared tuple per arc
-        return [tuple(map(arcs.__getitem__, row)) for rows in blocks for row in rows]
+        arcs, rows = self.arc_ranks(states)  # one shared tuple per arc
+        return [tuple(map(arcs.__getitem__, row)) for row in rows]
 
     @cached_property
     def nonfollower_masks(self):

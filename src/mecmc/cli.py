@@ -145,7 +145,7 @@ def cmd_sample_amo(args):
     final = flipchain.sample_many(space, args.steps, args.samples, rng)
     counts = np.bincount(final, minlength=space.size)
     sampled = np.flatnonzero(counts)
-    arcs, blocks = space.arc_ranks(sampled)
+    arcs, rows = space.arc_ranks(sampled)
     # each arc's label part, and its format_graph line with the newline escaped
     # as in JSON: no label or graph text holds anything else that JSON escapes
     label = [f"{u}>{v}" for u, v in arcs]
@@ -153,13 +153,13 @@ def cmd_sample_amo(args):
     # (name, count, text) of each sampled state, by name: sort_keys's order
     hist = sorted(
         (";".join([label[r] for r in row]), c, "".join([line[r] for r in row]))
-        for row, c in zip(itertools.chain(*blocks), counts[sampled].tolist())
+        for row, c in zip(rows, counts[sampled].tolist())
     )
     if args.format == "csv":
         top = f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n"
-        rows = [f"{name},{c}\n" for name, c, _ in hist]
+        body = [f"{name},{c}\n" for name, c, _ in hist]
         end = f"# n_states {space.size} distinct_sampled {len(hist)}\n"
-        _emit([top, "orientation,count\n", *rows, end], args.out)
+        _emit([top, "orientation,count\n", *body, end], args.out)
         return 0
     payload = {"config": config.to_dict(), "histogram": None, "orientations": None}
     payload["summary"] = {"n_states": space.size, "distinct_sampled": len(hist)}
