@@ -146,18 +146,15 @@ def cmd_sample_amo(args):
     counts = np.bincount(final, minlength=space.size)
     sampled = np.flatnonzero(counts)
     arcs, rows = space.arc_ranks(sampled)
-    # each arc's label part, and its format_graph line with the newline escaped
-    # as in JSON: no label or graph text holds anything else that JSON escapes
     label = [f"{u}>{v}" for u, v in arcs]
-    line = [f"{u} -> {v}\\n" for u, v in arcs]
-    # (name, count, text) of each sampled state, by name: sort_keys's order
+    # (name, count) of each sampled state, by name: sort_keys's order
     hist = sorted(
-        (";".join([label[r] for r in row]), c, "".join([line[r] for r in row]))
+        (";".join([label[r] for r in row]), c)
         for row, c in zip(rows, counts[sampled].tolist())
     )
     if args.format == "csv":
         top = f"# config {json.dumps(config.to_dict(), sort_keys=True)}\n"
-        body = [f"{name},{c}\n" for name, c, _ in hist]
+        body = [f"{name},{c}\n" for name, c in hist]
         end = f"# n_states {space.size} distinct_sampled {len(hist)}\n"
         _emit([top, "orientation,count\n", *body, end], args.out)
         return 0
@@ -168,10 +165,13 @@ def cmd_sample_amo(args):
     # orientations, the two nulls there, are written a member at a time
     top, *rest = _dump_json(payload).rsplit("null", 2)
     middle, end = ("\n  }" + part for part in rest)
-    head = f"n {space.graph.n}\\n"  # keys are sorted: format_graph(n, (), key)
+    # keys are sorted, so format_graph(n, (), key) is the line n and a line
+    # u -> v per label u>v, if any; an escaped newline is all JSON escapes
+    head = f"n {space.graph.n}\\n"
+    graphs = ((k and k + ";").replace(";", "\\n").replace(">", " -> ") for k, _ in hist)
     sep = ["{\n"] + [",\n"] * (len(hist) - 1)
-    histogram = (f'{s}    "{name}": {c}' for s, (name, c, _) in zip(sep, hist))
-    texts = (f'{s}    "{name}": "{head}{t}"' for s, (name, _, t) in zip(sep, hist))
+    histogram = (f'{s}    "{name}": {c}' for s, (name, c) in zip(sep, hist))
+    texts = (f'{s}    "{k}": "{head}{g}"' for s, (k, _), g in zip(sep, hist, graphs))
     _emit(itertools.chain([top], histogram, [middle], texts, [end]), args.out)
     return 0
 

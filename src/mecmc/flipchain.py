@@ -216,7 +216,7 @@ def _integers(rng, high, size, out):
     words = bits.random_raw((count - pending + 1) // 2)
     halves = words.astype("<u8", copy=False).view("<u4")  # low, high, low, ...
     products = out[:count]
-    products[:pending] = saved["uinteger"]
+    products[:pending] = saved["uinteger"]  # a pending half comes first
     products[pending:] = halves[: count - pending]
     products *= np.uint64(high)
     # the products' low halves are (h * high) mod 2**32

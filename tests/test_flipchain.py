@@ -163,9 +163,11 @@ def test_sample_many_matches_row_indexed_walk(suite_spaces):
 
 
 def test_sample_many_on_the_int32_table_returns_int64(suite_spaces):
-    # the flat offsets x * |E| are int64 whatever the table's width: under
-    # numpy 1.24's value-based casting and numpy 2's weak Python ints alike,
-    # an int32 table times |E| would stay int32 and wrap past 2**31
+    # the walk reads the int32 table and returns int64 states, those of the
+    # row-indexed oracle; its offsets x * |E| are built as int64 because an
+    # int32 table times |E| stays int32 under numpy 1.24's value-based
+    # casting and numpy 2's weak Python ints alike, and would wrap once
+    # N * |E| reaches 2**31, a table too large for a test
     space = suite_spaces["two_k5_share3"]
     assert space.flip_table.dtype == np.int32
     final = sample_many(space, 300, 1001, np.random.default_rng(3))
